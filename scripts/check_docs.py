@@ -42,6 +42,11 @@ Eighteen authoritative reference tables are checked:
 * **Recovery semantics** (docs/serving.md) -- one row per key of
   ``repro.serve.ledger.RECOVERY_SEMANTICS``.
 
+Beyond the tables, the "Flag groups shared" lists in the ``repro.cli``
+module docstring and the README's command-line section must name, per
+shared flag group (``repro.cli.flag_groups``), exactly the commands
+whose parser carries it.
+
 This script parses those sections (and only those sections -- other
 tables in the docs may legitimately backtick other things) and fails
 when a kind / metric / field exists in code but is undocumented, or is
@@ -64,6 +69,8 @@ DOC_PATH = REPO_ROOT / "docs" / "observability.md"
 ROBUSTNESS_DOC_PATH = REPO_ROOT / "docs" / "robustness.md"
 PERFORMANCE_DOC_PATH = REPO_ROOT / "docs" / "performance.md"
 SERVING_DOC_PATH = REPO_ROOT / "docs" / "serving.md"
+README_PATH = REPO_ROOT / "README.md"
+CLI_PATH = REPO_ROOT / "src" / "repro" / "cli.py"
 
 #: Section heading -> what its table's first column enumerates.
 SECTIONS = {
@@ -238,6 +245,46 @@ def documented_telemetry_tokens(doc_path: Path = DOC_PATH) -> dict[str, set[str]
     return tokens
 
 
+def cli_flag_groups() -> set[str]:
+    """One ``"<flags>: <commands>"`` line per shared CLI flag group,
+    read off the built parser."""
+    import argparse
+
+    from repro.cli import build_parser, flag_groups
+
+    def flags(parser: argparse.ArgumentParser) -> set[tuple]:
+        return {(tuple(a.option_strings), a.dest) for a in parser._actions}
+
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    lines = set()
+    for group in flag_groups().values():
+        names = " ".join(a.option_strings[0] if a.option_strings else a.dest
+                         for a in group._actions)
+        users = [name for name, parser in commands.items()
+                 if flags(group) <= flags(parser)]
+        lines.add(f"{names}: {', '.join(users)}")
+    return lines
+
+
+def documented_flag_groups(path: Path) -> set[str]:
+    """The bullets after a file's "Flag groups shared" lead-in, with
+    wrapped lines joined and backticks dropped."""
+    text = path.read_text()
+    if "Flag groups shared" not in text:
+        raise SystemExit(f"{path}: missing the 'Flag groups shared' list")
+    items: list[str] = []
+    for line in text[text.index("Flag groups shared"):].splitlines()[1:]:
+        stripped = line.strip()
+        if stripped[:2] in ("* ", "- "):
+            items.append(stripped[2:])
+        elif stripped and items:
+            items[-1] += " " + stripped
+        elif not stripped and items:
+            break
+    return {item.replace("`", "") for item in items}
+
+
 def plan_fields_in_code() -> set[str]:
     """Every fault-plan dataclass field, named as the doc table names it."""
     import dataclasses
@@ -257,6 +304,7 @@ def check(
     robustness_doc_path: Path = ROBUSTNESS_DOC_PATH,
     performance_doc_path: Path = PERFORMANCE_DOC_PATH,
     serving_doc_path: Path = SERVING_DOC_PATH,
+    flag_doc_paths: tuple[Path, ...] = (CLI_PATH, README_PATH),
 ) -> list[str]:
     """Returns a list of problems; empty means docs and code agree."""
     import dataclasses
@@ -430,6 +478,13 @@ def check(
     if overlap:
         problems.append(
             f"names in both TELEMETRY and SLO lists: {sorted(overlap)}")
+    groups = cli_flag_groups()
+    for path in flag_doc_paths:
+        documented = documented_flag_groups(path)
+        for missing in sorted(groups - documented):
+            problems.append(f"{path.name}: flag group not listed as {missing!r}")
+        for stale in sorted(documented - groups):
+            problems.append(f"{path.name}: stale flag-group line {stale!r}")
     return problems
 
 
@@ -461,8 +516,8 @@ def main() -> int:
           f"{len(telemetry_tokens['telemetry_metrics'])} telemetry metrics, "
           f"{len(telemetry_tokens['farm_timeline'])} farm timeline names, "
           f"{len(ledger_tokens['ledger_kinds'])} ledger record kinds, "
-          f"{len(ledger_tokens['recovery_kinds'])} recovery-semantics kinds "
-          "in sync)")
+          f"{len(ledger_tokens['recovery_kinds'])} recovery-semantics kinds, "
+          f"{len(cli_flag_groups())} CLI flag groups in sync)")
     return 0
 
 

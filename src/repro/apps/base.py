@@ -16,14 +16,6 @@ def doubles_for_pages(pages: int) -> int:
     return pages * ELEMS_PER_PAGE
 
 
-def cube_side_for_pages(pages: int, arrays: int, components: int = 1) -> int:
-    """Grid side G such that ``arrays`` G^3-component grids fill ``pages``."""
-    total_elems = doubles_for_pages(pages)
-    per_grid = total_elems // (arrays * components)
-    side = round(per_grid ** (1.0 / 3.0))
-    return max(4, side)
-
-
 def pencil_dims_for_pages(
     pages: int, arrays: int, components: int = 1, side: int = 112
 ) -> tuple[int, int, int]:
@@ -45,7 +37,8 @@ def pencil_dims_for_pages(
 #: NAS-style problem classes, as multiples of available memory.  Class S
 #: is in-core (the Figure 6 regime), W sits at the memory boundary, A is
 #: the paper's canonical out-of-core point (~2x), and B matches the
-#: Figure 7 "larger" sizes.
+#: Figure 7 "larger" sizes.  ``--size-class`` resolves through
+#: :func:`repro.harness.experiment.size_class_pages`.
 SIZE_CLASSES: dict[str, float] = {"S": 0.35, "W": 1.0, "A": 2.0, "B": 6.0}
 
 
@@ -70,15 +63,3 @@ class AppSpec:
     def make(self, data_pages: int, seed: int = 1) -> Program:
         """Instantiate the program with ~``data_pages`` of major data."""
         return self.build(data_pages, seed)
-
-    def make_class(self, size_class: str, available_frames: int,
-                   seed: int = 1) -> Program:
-        """Instantiate a NAS-style problem class (S/W/A/B) for a machine."""
-        try:
-            multiple = SIZE_CLASSES[size_class.upper()]
-        except KeyError:
-            raise KeyError(
-                f"unknown size class {size_class!r}; known: "
-                + "/".join(SIZE_CLASSES)
-            ) from None
-        return self.make(max(8, int(available_frames * multiple)), seed=seed)

@@ -19,21 +19,41 @@
     python -m repro fuzz --profile smoke      # metamorphic fuzz campaign
     python -m repro fuzz replay FILE          # re-run one corpus finding
 
-``run``, ``compare``, ``sweep``, ``multiprog``, ``explain``, and
-``profile`` accept ``--trace FILE`` (Chrome trace_event JSON,
-Perfetto-loadable) and ``--metrics-out FILE`` (the metrics-registry
-JSON artifact); ``trace`` is the dedicated front door for both.  See
-docs/observability.md.
+The run commands (``run``, ``trace``, ``explain``, ``profile``,
+``compare``, ``sweep``, ``chaos``) turn their flags into one
+:class:`repro.serve.JobSpec` and execute it through
+:func:`repro.harness.experiment.execute` -- the same spine farm workers
+use.  ``--size-class`` resolves into the spec's ``pages`` and
+``--faults``/``--fault-seed`` into its ``faults``.
 
-``run``, ``compare``, and ``chaos`` accept ``--faults PLAN.json`` and
-``--fault-seed N`` to execute under deterministic injected faults; see
+Flag groups shared across commands, each declared once in
+:func:`flag_groups` (``scripts/check_docs.py`` checks this list
+against the parser):
+
+* ``app``: compile, run, compare, explain, profile, sweep, chaos
+* ``--pages``: compile, run, compare, trace, explain, profile, sweep,
+  multiprog, chaos
+* ``--size-class --seed``: compile, run, compare, trace, explain,
+  profile, sweep, chaos
+* ``--variant``: run, trace, explain, profile, chaos
+* ``--warm``: run, compare, trace, explain, profile
+* ``--trace``: run, compare, explain, profile, sweep, multiprog
+* ``--metrics-out``: run, compare, trace, explain, profile, sweep,
+  multiprog, serve, fuzz
+* ``--trace-buffer``: run, compare, trace, explain, profile, sweep,
+  multiprog
+* ``--faults --fault-seed``: run, compare, explain, profile, chaos
+* ``--checkpoint-every --checkpoint-dir --checkpoint-keep --resume-from
+  --ignore-crash-faults``: run, compare, bench
+
+``--trace FILE`` writes a Chrome trace_event JSON (Perfetto-loadable)
+and ``--metrics-out FILE`` the metrics-registry JSON artifact; ``trace``
+is the dedicated front door for both (its trace path is ``--out``).
+See docs/observability.md.  ``--faults PLAN.json``/``--fault-seed N``
+execute under deterministic injected faults.  A planned
+``process_crash`` fault (or a pending one from a resumed plan)
+terminates the process with exit code 3 and a resume hint; see
 docs/robustness.md.
-
-``run``, ``compare``, and ``bench`` accept ``--checkpoint-every US``,
-``--checkpoint-dir DIR``, ``--checkpoint-keep K``, ``--resume-from
-PATH``, and ``--ignore-crash-faults``.  A planned ``process_crash``
-fault (or a pending one from a resumed plan) terminates the process
-with exit code 3 and a resume hint; see docs/robustness.md.
 
 ``serve`` runs batches of jobs on a supervised multiprocess worker
 farm with heartbeats, retry/backoff, checkpoint-driven preemption, and
@@ -58,14 +78,20 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.apps.registry import ALL_APPS, get_app, table2_rows
+from repro.apps.registry import get_app, table2_rows
 from repro.checkpoint import CheckpointConfig
 from repro.config import PlatformConfig
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
 from repro.errors import ConfigError, ExitCode, ProcessCrash
 from repro.faults import FaultPlan, default_plan, load_plan
-from repro.harness.experiment import compare_app, default_data_pages, run_variant
+from repro.harness.experiment import (
+    build_program,
+    execute,
+    platform_for,
+    resolve_pages,
+    size_class_pages,
+)
 from repro.ioutil import atomic_write_json, atomic_write_text
 from repro.harness.report import render_table
 from repro.obs import (
@@ -77,28 +103,33 @@ from repro.obs import (
     write_chrome_trace,
     write_metrics_json,
 )
+from repro.serve.jobspec import JOB_VARIANTS, JobSpec
 from repro.sim.stats import RunStats
 
 
-def _platform_from_args(args: argparse.Namespace) -> PlatformConfig:
-    overrides = {}
-    if args.memory_pages:
-        overrides["memory_pages"] = args.memory_pages
-    if args.disks:
-        overrides["num_disks"] = args.disks
-    return PlatformConfig(**overrides) if overrides else PlatformConfig()
-
-
-def _data_pages(args: argparse.Namespace, platform: PlatformConfig) -> int:
-    if args.pages:
+def _pages_from_args(args: argparse.Namespace, platform: PlatformConfig) -> int:
+    """``--pages``, else ``--size-class`` resolved on ``platform`` (0 =
+    the app's default footprint)."""
+    if args.pages or not args.size_class:
         return args.pages
-    size_class = getattr(args, "size_class", None)
-    if size_class:
-        from repro.apps.base import SIZE_CLASSES
+    return size_class_pages(args.size_class, platform)
 
-        multiple = SIZE_CLASSES[size_class.upper()]
-        return max(8, int(platform.available_frames * multiple))
-    return default_data_pages(platform)
+
+def _job_from_args(args: argparse.Namespace, kind: str, **fields) -> JobSpec:
+    """The :class:`JobSpec` a run command's flags describe.
+
+    Flags a command does not declare keep their JobSpec defaults (sweep
+    has no ``--variant``/``--warm``, chaos no ``--warm``, ...).
+    """
+    platform = platform_for(args.memory_pages, args.disks)
+    plan = _fault_plan_from_args(args, platform)
+    return JobSpec(
+        kind=kind, app=args.app, variant=getattr(args, "variant", "p"),
+        pages=_pages_from_args(args, platform),
+        memory_pages=args.memory_pages, disks=args.disks, seed=args.seed,
+        warm=getattr(args, "warm", False),
+        faults=plan.to_dict() if plan is not None else None, **fields,
+    )
 
 
 def _print_stats(stats: RunStats, registry=None) -> None:
@@ -208,7 +239,7 @@ def cmd_apps(args: argparse.Namespace) -> int:
 
 
 def cmd_platform(args: argparse.Namespace) -> int:
-    platform = _platform_from_args(args)
+    platform = platform_for(args.memory_pages, args.disks)
     disk = platform.disk
     rows = [
         ["memory", f"{platform.memory_bytes // 1024} KB ({platform.memory_pages} pages)"],
@@ -227,9 +258,10 @@ def cmd_platform(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    platform = _platform_from_args(args)
+    platform = platform_for(args.memory_pages, args.disks)
     spec = get_app(args.app)
-    program = spec.make(_data_pages(args, platform), seed=args.seed)
+    pages = resolve_pages(spec, platform, _pages_from_args(args, platform))
+    program = spec.make(pages, seed=args.seed)
     options = CompilerOptions.from_platform(
         platform, two_version_loops=args.two_version
     )
@@ -243,52 +275,18 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return ExitCode.OK
 
 
-def _run_one_variant(
-    args: argparse.Namespace,
-    platform: PlatformConfig,
-    observer: Observer | None,
-    fault_plan: FaultPlan | None = None,
-) -> tuple[str, int, RunStats]:
-    """Build, (maybe) compile, and execute one variant of one app."""
-    spec = get_app(args.app)
-    pages = _data_pages(args, platform)
-    program = spec.make(pages, seed=args.seed)
-    variant = args.variant.lower()
-    checkpoint = _checkpoint_from_args(
-        args, f"{spec.name}-{variant.upper()}"
-    )
-    if variant == "o":
-        stats = run_variant(program, platform, prefetching=False,
-                            warm=args.warm, observer=observer,
-                            fault_plan=fault_plan, checkpoint=checkpoint)
-    else:
-        options = CompilerOptions.from_platform(platform)
-        compiled = insert_prefetches(program, options)
-        stats = run_variant(
-            compiled.program,
-            platform,
-            prefetching=True,
-            runtime_filter=variant != "nofilter",
-            warm=args.warm,
-            adaptive=variant == "adaptive",
-            observer=observer,
-            fault_plan=fault_plan,
-            checkpoint=checkpoint,
-        )
-    return spec.name, pages, stats
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    platform = _platform_from_args(args)
+    job = _job_from_args(args, "run")
     observer = _make_observer(args)
-    fault_plan = _fault_plan_from_args(args, platform)
-    name, pages, stats = _run_one_variant(args, platform, observer, fault_plan)
+    label = f"{get_app(job.app).name}-{job.variant.upper()}"
+    run = execute(job, observer=observer,
+                  checkpoint=_checkpoint_from_args(args, label))
     resumed = getattr(args, "resume_from", None)
-    print(f"{name} [{args.variant.upper()}] at {pages} data pages "
-          f"({'warm' if args.warm else 'cold'} start"
-          + (", faulted" if fault_plan is not None else "")
+    print(f"{run.app} [{job.variant.upper()}] at {run.data_pages} data pages "
+          f"({'warm' if job.warm else 'cold'} start"
+          + (", faulted" if job.faults is not None else "")
           + (f", resumed from {resumed}" if resumed else "") + ")")
-    _print_stats(stats, observer.metrics if observer else None)
+    _print_stats(run.stats, observer.metrics if observer else None)
     _write_observations(args, observer)
     return ExitCode.OK
 
@@ -300,11 +298,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     validator -- the artifacts are still written so the bad trace can
     be inspected.
     """
-    platform = _platform_from_args(args)
+    job = _job_from_args(args, "run")
     observer = Observer(capacity=args.trace_buffer)
-    name, pages, stats = _run_one_variant(args, platform, observer)
-    print(f"{name} [{args.variant.upper()}] at {pages} data pages: "
-          f"{stats.elapsed_us / 1e6:.3f} s simulated, "
+    run = execute(job, observer=observer)
+    print(f"{run.app} [{job.variant.upper()}] at {run.data_pages} data pages: "
+          f"{run.stats.elapsed_us / 1e6:.3f} s simulated, "
           f"{observer.trace.total_emitted} events")
     counts = observer.trace.counts_by_kind()
     rows = [[kind, counts[kind]] for kind in sorted(counts)]
@@ -319,24 +317,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    platform = _platform_from_args(args)
-    spec = get_app(args.app)
-    pages = args.pages or (
-        _data_pages(args, platform) if getattr(args, "size_class", None) else None
-    )
+    job = _job_from_args(args, "compare")
     observer = _make_observer(args)
-    result = compare_app(
-        spec,
-        platform,
-        data_pages=pages,
-        seed=args.seed,
-        warm=args.warm,
+    result = execute(
+        job,
+        observer=observer,
+        # compare_app re-labels per variant (<app>-O, <app>-P, ...).
+        checkpoint=_checkpoint_from_args(args, get_app(job.app).name),
         include_nofilter=args.nofilter,
         include_adaptive=args.adaptive,
-        observer=observer,
-        fault_plan=_fault_plan_from_args(args, platform),
-        # compare_app re-labels per variant (<app>-O, <app>-P, ...).
-        checkpoint=_checkpoint_from_args(args, spec.name),
     )
     rows = []
     variants = [result.original, result.prefetch] + list(result.extras.values())
@@ -352,21 +341,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(render_table(
         ["variant", "elapsed", "idle", "speedup vs O", "coverage"],
         rows,
-        title=f"{spec.name} at {result.data_pages} data pages",
+        title=f"{result.app} at {result.data_pages} data pages",
     ))
     _write_observations(args, observer)
     return ExitCode.OK
 
 
 def _attributed_run(
-    args: argparse.Namespace, platform: PlatformConfig
+    args: argparse.Namespace,
 ) -> tuple[str, int, RunStats, Observer, StallAttributor]:
     """Execute one variant with span assembly + stall attribution live."""
-    observer = Observer(capacity=getattr(args, "trace_buffer", 65536))
+    observer = Observer(capacity=args.trace_buffer)
     attributor = StallAttributor(observer=observer)
-    fault_plan = _fault_plan_from_args(args, platform)
-    name, pages, stats = _run_one_variant(args, platform, observer, fault_plan)
-    return name, pages, stats, observer, attributor
+    run = execute(_job_from_args(args, "run"), observer=observer)
+    return run.app, run.data_pages, run.stats, observer, attributor
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -376,8 +364,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     cycles must equal the run's stall cycles bitwise) -- it holding is
     the proof that the report explains *all* of the idle time.
     """
-    platform = _platform_from_args(args)
-    name, pages, stats, observer, att = _attributed_run(args, platform)
+    name, pages, stats, observer, att = _attributed_run(args)
     report = att.report(stats)
     idle = report.idle_us or 1.0
     rows = []
@@ -425,8 +412,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Collapsed-stack stall profile plus the per-disk utilization timeline."""
-    platform = _platform_from_args(args)
-    name, pages, stats, observer, att = _attributed_run(args, platform)
+    name, pages, stats, observer, att = _attributed_run(args)
     att.report(stats)
     lines = att.collapsed_stacks(root=name)
     if args.collapsed:
@@ -549,10 +535,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_multiprog(args: argparse.Namespace) -> int:
-    from repro.core.prefetch_pass import insert_prefetches
     from repro.multiprog import CoScheduler
 
-    platform = _platform_from_args(args)
+    platform = platform_for(args.memory_pages, args.disks)
     names = [n.strip() for n in args.apps.split(",") if n.strip()]
     if not names:
         print("no applications given", file=sys.stderr)
@@ -567,11 +552,9 @@ def cmd_multiprog(args: argparse.Namespace) -> int:
                             observer=observer if prefetching else None)
         for k, app_name in enumerate(names):
             spec = get_app(app_name)
-            pages = args.pages or default_data_pages(platform)
-            program = spec.make(pages, seed=k + 1)
-            if prefetching:
-                options = CompilerOptions.from_platform(platform)
-                program = insert_prefetches(program, options).program
+            program = build_program(spec, platform,
+                                    resolve_pages(spec, platform, args.pages),
+                                    k + 1, "p" if prefetching else "o")
             sched.add_process(program, name=f"{spec.name}#{k}",
                               prefetching=prefetching)
         result = sched.run()
@@ -606,23 +589,15 @@ def cmd_multiprog(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    platform = _platform_from_args(args)
-    spec = get_app(args.app)
     multiples = [float(m) for m in args.multiples.split(",")]
+    job = _job_from_args(args, "sweep", multiples=multiples)
     observer = _make_observer(args)
+    points = execute(job, observer=observer)
     rows = []
-    for k, multiple in enumerate(multiples):
-        pages = max(8, int(platform.available_frames * multiple))
-        # Observe the final sweep point only: every run restarts the
-        # simulated clock at zero, so one trace cannot hold several
-        # runs and keep its timestamps monotonic.
-        result = compare_app(
-            spec, platform, data_pages=pages, seed=args.seed,
-            observer=observer if k == len(multiples) - 1 else None,
-        )
+    for multiple, result in zip(job.multiples, points):
         rows.append([
             f"{multiple:g}x",
-            pages,
+            result.data_pages,
             f"{result.original.elapsed_us / 1e6:.3f} s",
             f"{result.prefetch.elapsed_us / 1e6:.3f} s",
             f"{result.speedup:.2f}x",
@@ -630,7 +605,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(render_table(
         ["size vs memory", "pages", "original", "prefetching", "speedup"],
         rows,
-        title=f"{spec.name} problem-size sweep",
+        title=f"{points[0].app} problem-size sweep",
     ))
     if observer is not None:
         print(f"(trace/metrics cover the final sweep point only: "
@@ -641,28 +616,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Sweep fault intensities and print the degradation table."""
-    from repro.faults.chaos import chaos_report_dict, chaos_sweep
+    from repro.faults.chaos import chaos_report_dict
 
     if args.quick:
         # CI smoke mode: a small out-of-core footprint, one intensity.
         args.memory_pages = args.memory_pages or 96
         args.pages = args.pages or 120
-    platform = _platform_from_args(args)
-    spec = get_app(args.app)
     if args.intensities is not None:
         spec_intensities = args.intensities
     else:
         spec_intensities = "1.0" if args.quick else "0.25,0.5,1.0"
     intensities = [float(x) for x in spec_intensities.split(",") if x.strip()]
-    report = chaos_sweep(
-        spec,
-        platform,
-        base_plan=_fault_plan_from_args(args, platform),
-        intensities=intensities,
-        data_pages=args.pages or None,
-        seed=args.seed,
-        variant=args.variant.lower(),
-    )
+    report = execute(_job_from_args(args, "chaos", intensities=intensities))
     rows = [[
         "0 (clean)", f"{report.clean.elapsed_us / 1e6:.3f} s",
         "1.00x", "-", "-", "-", "-", "-",
@@ -682,7 +647,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         ["intensity", "elapsed", "slowdown", "hints dropped",
          "retries", "degraded I/O", "fallbacks", "crashes/resumes"],
         rows,
-        title=(f"{spec.name} [{args.variant.upper()}] chaos sweep "
+        title=(f"{report.app} [{args.variant.upper()}] chaos sweep "
                f"at {report.data_pages} data pages"),
     ))
     if args.out:
@@ -938,19 +903,6 @@ def _drain_stale_state(workdir: str) -> int:
     return removed
 
 
-def _load_snapshot(path: str) -> dict | None:
-    import json
-
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict) or "farm" not in payload:
-        return None
-    return payload
-
-
 #: A "running" snapshot older than this is considered abandoned (the
 #: controller flushes every --telemetry-every seconds, default 0.5).
 SNAPSHOT_STALE_AFTER_S = 10.0
@@ -1139,6 +1091,66 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return ExitCode.OK
 
 
+def flag_groups() -> dict[str, argparse.ArgumentParser]:
+    """The flag groups several commands share, each declared once.
+
+    ``build_parser`` composes commands from these (argparse ``parents``);
+    ``scripts/check_docs.py`` checks the per-group command lists in this
+    module's docstring and the README against the built parser.
+    """
+    def group() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    app = group()
+    app.add_argument("app", help="application name (BUK, CGM, ..., or NAS name)")
+    pages = group()
+    pages.add_argument("--pages", type=int, default=0,
+                       help="major data footprint in pages, per application "
+                            "(default ~2x memory)")
+    footprint = group()
+    footprint.add_argument("--size-class", choices=["S", "W", "A", "B"],
+                           help="NAS-style problem class instead of --pages")
+    footprint.add_argument("--seed", type=int, default=1)
+    variant = group()
+    variant.add_argument("--variant", choices=JOB_VARIANTS, default="p")
+    warm = group()
+    warm.add_argument("--warm", action="store_true", help="preload the data set")
+    trace = group()
+    trace.add_argument("--trace", metavar="FILE",
+                       help="write a Chrome trace_event JSON (Perfetto-loadable)")
+    metrics = group()
+    metrics.add_argument("--metrics-out", metavar="FILE",
+                         help="write the command's metrics-registry JSON "
+                              "artifact")
+    buffer = group()
+    buffer.add_argument("--trace-buffer", type=int, default=65536,
+                        help="trace ring-buffer capacity in events")
+    faults = group()
+    faults.add_argument("--faults", metavar="FILE",
+                        help="fault plan JSON to inject (docs/robustness.md)")
+    faults.add_argument("--fault-seed", type=int, default=None,
+                        help="reseed the plan (alone: use the default plan)")
+    ckpt = group()
+    ckpt.add_argument("--checkpoint-every", type=float, default=None,
+                      metavar="US",
+                      help="write a checkpoint every N simulated "
+                           "microseconds (docs/robustness.md)")
+    ckpt.add_argument("--checkpoint-dir", default="checkpoints", metavar="DIR",
+                      help="checkpoint directory (default: checkpoints)")
+    ckpt.add_argument("--checkpoint-keep", type=int, default=3, metavar="K",
+                      help="retained checkpoints per label (default 3)")
+    ckpt.add_argument("--resume-from", default=None, metavar="PATH",
+                      help="resume from a checkpoint file, or the newest "
+                           "good checkpoint in a directory")
+    ckpt.add_argument("--ignore-crash-faults", action="store_true",
+                      help="treat the plan's process_crash faults as "
+                           "already delivered (uninterrupted control run)")
+    return {"app": app, "pages": pages, "footprint": footprint,
+            "variant": variant, "warm": warm, "trace": trace,
+            "metrics": metrics, "buffer": buffer, "faults": faults,
+            "checkpoint": ckpt}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1149,75 +1161,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--disks", type=int, default=0,
                         help="override the number of disks")
     sub = parser.add_subparsers(dest="command", required=True)
+    g = flag_groups()
+    app_run = [g["app"], g["pages"], g["footprint"]]
+    obs = [g["trace"], g["metrics"], g["buffer"]]
 
     sub.add_parser("apps", help="list the benchmark applications")
     sub.add_parser("platform", help="show the simulated machine")
 
-    def add_app_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("app", help="application name (BUK, CGM, ..., or NAS name)")
-        p.add_argument("--pages", type=int, default=0,
-                       help="major data footprint in pages (default ~2x memory)")
-        p.add_argument("--size-class", choices=["S", "W", "A", "B"],
-                       help="NAS-style problem class instead of --pages")
-        p.add_argument("--seed", type=int, default=1)
-
-    p = sub.add_parser("compile", help="run the prefetching pass")
-    add_app_args(p)
+    p = sub.add_parser("compile", help="run the prefetching pass",
+                       parents=app_run)
     p.add_argument("--print-code", action="store_true",
                    help="print the transformed program")
     p.add_argument("--two-version", action="store_true",
                    help="enable the two-version-loop extension")
 
-    def add_obs_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--trace", metavar="FILE",
-                       help="write a Chrome trace_event JSON (Perfetto-loadable)")
-        p.add_argument("--metrics-out", metavar="FILE",
-                       help="write the metrics-registry JSON artifact")
-        p.add_argument("--trace-buffer", type=int, default=65536,
-                       help="trace ring-buffer capacity in events")
+    sub.add_parser("run", help="execute one variant",
+                   parents=[*app_run, g["variant"], g["warm"], *obs,
+                            g["faults"], g["checkpoint"]])
 
-    def add_fault_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--faults", metavar="FILE",
-                       help="fault plan JSON to inject (docs/robustness.md)")
-        p.add_argument("--fault-seed", type=int, default=None,
-                       help="reseed the plan (alone: use the default plan)")
-
-    def add_ckpt_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--checkpoint-every", type=float, default=None,
-                       metavar="US",
-                       help="write a checkpoint every N simulated "
-                            "microseconds (docs/robustness.md)")
-        p.add_argument("--checkpoint-dir", default="checkpoints",
-                       metavar="DIR",
-                       help="checkpoint directory (default: checkpoints)")
-        p.add_argument("--checkpoint-keep", type=int, default=3, metavar="K",
-                       help="retained checkpoints per label (default 3)")
-        p.add_argument("--resume-from", default=None, metavar="PATH",
-                       help="resume from a checkpoint file, or the newest "
-                            "good checkpoint in a directory")
-        p.add_argument("--ignore-crash-faults", action="store_true",
-                       help="treat the plan's process_crash faults as "
-                            "already delivered (uninterrupted control run)")
-
-    p = sub.add_parser("run", help="execute one variant")
-    add_app_args(p)
-    p.add_argument("--variant", choices=["o", "p", "nofilter", "adaptive"],
-                   default="p")
-    p.add_argument("--warm", action="store_true", help="preload the data set")
-    add_obs_args(p)
-    add_fault_args(p)
-    add_ckpt_args(p)
-
-    p = sub.add_parser("compare", help="run original vs prefetching")
-    add_app_args(p)
-    p.add_argument("--warm", action="store_true")
+    p = sub.add_parser("compare", help="run original vs prefetching",
+                       parents=[*app_run, g["warm"], *obs, g["faults"],
+                                g["checkpoint"]])
     p.add_argument("--nofilter", action="store_true",
                    help="also run without the run-time layer")
     p.add_argument("--adaptive", action="store_true",
                    help="also run with adaptive suppression")
-    add_obs_args(p)
-    add_fault_args(p)
-    add_ckpt_args(p)
 
     p = sub.add_parser(
         "trace",
@@ -1225,25 +1193,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Execute one variant with the observability layer "
                     "attached and write a Perfetto-loadable trace "
                     "(see docs/observability.md).",
+        parents=[g["pages"], g["footprint"], g["variant"], g["warm"],
+                 g["metrics"], g["buffer"]],
     )
     p.add_argument("--app", required=True,
                    help="application name (BUK, CGM, ..., or NAS name)")
     p.add_argument("--out", required=True, metavar="FILE",
                    help="trace output path (Chrome trace_event JSON)")
-    p.add_argument("--variant", choices=["o", "p", "nofilter", "adaptive"],
-                   default="p")
-    p.add_argument("--pages", type=int, default=0,
-                   help="major data footprint in pages (default ~2x memory)")
-    p.add_argument("--size-class", choices=["S", "W", "A", "B"],
-                   help="NAS-style problem class instead of --pages")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--warm", action="store_true", help="preload the data set")
-    p.add_argument("--metrics-out", metavar="FILE",
-                   help="also write the metrics-registry JSON artifact")
-    p.add_argument("--trace-buffer", type=int, default=65536,
-                   help="trace ring-buffer capacity in events")
 
-    p = sub.add_parser(
+    sub.add_parser(
         "explain",
         help="stall-attribution report (which cause owns each stall)",
         description="Execute one variant with the causal span layer "
@@ -1251,13 +1209,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "cause; exits non-zero unless the attributed cycles "
                     "equal the run's stall cycles exactly "
                     "(see docs/observability.md).",
+        parents=[*app_run, g["variant"], g["warm"], *obs, g["faults"]],
     )
-    add_app_args(p)
-    p.add_argument("--variant", choices=["o", "p", "nofilter", "adaptive"],
-                   default="p")
-    p.add_argument("--warm", action="store_true", help="preload the data set")
-    add_obs_args(p)
-    add_fault_args(p)
 
     p = sub.add_parser(
         "profile",
@@ -1265,17 +1218,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Execute one variant and print the hottest "
                     "loop-nest;array;cause stacks plus a per-disk "
                     "utilization table (see docs/observability.md).",
+        parents=[*app_run, g["variant"], g["warm"], *obs, g["faults"]],
     )
-    add_app_args(p)
-    p.add_argument("--variant", choices=["o", "p", "nofilter", "adaptive"],
-                   default="p")
-    p.add_argument("--warm", action="store_true", help="preload the data set")
     p.add_argument("--collapsed", metavar="FILE",
                    help="write all collapsed stacks (flamegraph input)")
     p.add_argument("--top", type=int, default=15,
                    help="rows to print in the hot-stack table")
-    add_obs_args(p)
-    add_fault_args(p)
 
     p = sub.add_parser(
         "bench",
@@ -1286,6 +1234,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "non-zero on a regression over the threshold.  The "
                     "report format and per-field glossary are documented "
                     "in docs/observability.md.",
+        parents=[g["checkpoint"]],
     )
     p.add_argument("--smoke", action="store_true",
                    help="CI mode: only the small golden-trace footprint")
@@ -1305,22 +1254,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also gate wall_time_s at this fractional growth; "
                         "only meaningful when baseline ran on a comparable "
                         "host (default: off; see docs/observability.md)")
-    add_ckpt_args(p)
 
-    p = sub.add_parser("sweep", help="problem-size sweep (Figure 8 style)")
-    add_app_args(p)
+    p = sub.add_parser("sweep", help="problem-size sweep (Figure 8 style)",
+                       parents=[*app_run, *obs])
     p.add_argument("--multiples", default="0.5,1,1.5,2,3",
                    help="comma-separated sizes as multiples of memory")
-    add_obs_args(p)
 
     p = sub.add_parser("multiprog",
-                       help="co-schedule several applications on one machine")
+                       help="co-schedule several applications on one machine",
+                       parents=[g["pages"], *obs])
     p.add_argument("apps", help="comma-separated application names")
-    p.add_argument("--pages", type=int, default=0,
-                   help="per-process data pages (default ~2x memory)")
     p.add_argument("--quantum", type=float, default=20_000.0,
                    help="scheduler quantum in microseconds")
-    add_obs_args(p)
 
     p = sub.add_parser(
         "chaos",
@@ -1329,14 +1274,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "scaled to each intensity, and report slowdown, "
                     "dropped hints, retries, degraded I/O, and fallback "
                     "episodes (see docs/robustness.md).",
+        parents=[*app_run, g["variant"], g["faults"]],
     )
-    add_app_args(p)
-    p.add_argument("--variant", choices=["o", "p", "nofilter", "adaptive"],
-                   default="p")
     p.add_argument("--intensities", default=None,
                    help="comma-separated fault intensities "
                         "(default 0.25,0.5,1.0; --quick: 1.0)")
-    add_fault_args(p)
     p.add_argument("--quick", action="store_true",
                    help="CI smoke mode: small footprint, one intensity")
     p.add_argument("--out", metavar="FILE", default=None,
@@ -1344,6 +1286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
+        parents=[g["metrics"]],
         help="supervised simulation job farm (batch in, results out)",
         description="Run a batch of run/compare/sweep/chaos jobs on a "
                     "supervised multiprocess worker farm: heartbeats, "
@@ -1372,8 +1315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", default=None, metavar="FILE",
                    help="results file to read for status/drain "
                         "(default: --out)")
-    p.add_argument("--metrics-out", metavar="FILE",
-                   help="write the serve.* metrics-registry JSON artifact")
     p.add_argument("--hb-interval", type=float, default=0.05, metavar="S",
                    help="worker heartbeat interval (default 0.05 s)")
     p.add_argument("--hb-timeout", type=float, default=5.0, metavar="S",
@@ -1445,6 +1386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fuzz",
+        parents=[g["metrics"]],
         help="property-based scenario fuzzing with metamorphic oracles",
         description="Generate random-but-valid scenarios per oracle "
                     "family, run them through the full stack, and check "
@@ -1470,8 +1412,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "with new shrunk findings (default tests/corpus)")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="write new findings here instead of --corpus")
-    p.add_argument("--metrics-out", metavar="FILE",
-                   help="write the fuzz.* metrics-registry JSON artifact")
     p.add_argument("--report-out", metavar="FILE",
                    help="write the full campaign report as JSON (atomic)")
     return parser

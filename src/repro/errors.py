@@ -64,10 +64,6 @@ class IRError(ReproError):
     """An IR construction or validation problem (malformed loop nest)."""
 
 
-class AnalysisError(ReproError):
-    """The compiler analysis encountered a program it cannot reason about."""
-
-
 class ExecutionError(ReproError):
     """The interpreter encountered an unevaluable expression or bad state."""
 

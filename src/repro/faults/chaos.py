@@ -21,13 +21,15 @@ from typing import Sequence
 from repro.apps.base import AppSpec
 from repro.checkpoint.runner import CheckpointConfig, run_with_recovery
 from repro.config import PlatformConfig
-from repro.core.options import CompilerOptions
-from repro.core.prefetch_pass import insert_prefetches
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, default_plan
-from repro.harness.experiment import default_data_pages, run_variant
-from repro.interp.executor import Executor
-from repro.machine.machine import Machine
+from repro.harness.experiment import (
+    VARIANTS,
+    build_program,
+    new_machine,
+    resolve_pages,
+    run_variant,
+)
 from repro.sim.stats import RunStats
 
 #: Checkpoint cadence for crash-bearing chaos rows (simulated us).  A
@@ -141,43 +143,23 @@ def chaos_sweep(
     """
     if not intensities:
         raise ConfigError("chaos sweep needs at least one intensity")
-    if data_pages is None:
-        data_pages = default_data_pages(platform, spec.default_memory_multiple)
+    data_pages = resolve_pages(spec, platform, data_pages)
     if base_plan is None:
         base_plan = default_plan(platform.num_disks, seed=seed)
-    program = spec.make(data_pages, seed=seed)
-    prefetching = variant != "o"
-    if prefetching:
-        options = CompilerOptions.from_platform(platform)
-        program = insert_prefetches(program, options).program
+    program = build_program(spec, platform, data_pages, seed, variant)
+    machine = VARIANTS[variant].machine
 
     def execute(plan: FaultPlan | None) -> tuple[RunStats, int, int]:
         if plan is not None and plan.crashes:
             # Crash-bearing plans go through the kill/resume loop: a
             # fresh machine per incarnation, in-memory checkpoints.
-            def factory():
-                machine = Machine(
-                    platform,
-                    prefetching=prefetching,
-                    runtime_filter=variant != "nofilter",
-                    adaptive_prefetch=variant == "adaptive",
-                    fault_plan=plan,
-                )
-                return machine, Executor(machine)
-
             rec = run_with_recovery(
-                factory, program,
+                lambda: new_machine(platform, fault_plan=plan, **machine),
+                program,
                 CheckpointConfig(every_us=CHAOS_CHECKPOINT_EVERY_US),
             )
             return rec.stats, rec.crashes, rec.resumes
-        stats = run_variant(
-            program,
-            platform,
-            prefetching=prefetching,
-            runtime_filter=variant != "nofilter",
-            adaptive=variant == "adaptive",
-            fault_plan=plan,
-        )
+        stats = run_variant(program, platform, fault_plan=plan, **machine)
         return stats, 0, 0
 
     clean, _, _ = execute(None)

@@ -39,13 +39,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.apps.registry import get_app
 from repro.checkpoint.runner import CheckpointConfig
 from repro.config import PlatformConfig
-from repro.core.options import CompilerOptions
-from repro.core.prefetch_pass import insert_prefetches
 from repro.errors import ConfigError
-from repro.harness.experiment import default_data_pages, run_variant
+from repro.apps.registry import get_app
+from repro.harness.experiment import (
+    VARIANTS,
+    build_program,
+    default_data_pages,
+    platform_for,
+    run_variant,
+)
 from repro.ioutil import atomic_write_json
 
 #: Report schema identifier (bump on incompatible changes).
@@ -108,19 +112,18 @@ def run_case(case: BenchCase,
     """
     if wall_reps < 1:
         raise ConfigError(f"wall_reps must be >= 1, got {wall_reps}")
-    platform = PlatformConfig(memory_pages=case.memory_pages)
-    spec = get_app(case.app)
-    program = spec.make(case.data_pages, seed=case.seed)
-    compiled = insert_prefetches(
-        program, CompilerOptions.from_platform(platform)
-    ).program
     # An inactive config (built only to keep crash-ledger plumbing
     # wired) does not snapshot, so repetitions are still safe then.
     checkpointing = checkpoint is not None and checkpoint.active()
     reps = 1 if checkpointing else wall_reps
     entries = []
-    for variant, prog, prefetching in (("O", program, False),
-                                       ("P", compiled, True)):
+    # Resolved through the run spine's helpers; only run_variant is timed.
+    app = get_app(case.app)
+    platform = platform_for(case.memory_pages)
+    for name in ("o", "p"):
+        program = build_program(app, platform, case.data_pages, case.seed,
+                                name)
+        variant = VARIANTS[name].label
         ckpt = None
         if checkpoint is not None:
             ckpt = dataclasses.replace(
@@ -130,8 +133,8 @@ def run_case(case: BenchCase,
         wall = float("inf")
         for _ in range(reps):
             start = time.perf_counter()
-            rep_stats = run_variant(prog, platform, prefetching=prefetching,
-                                    checkpoint=ckpt)
+            rep_stats = run_variant(program, platform, checkpoint=ckpt,
+                                    **VARIANTS[name].machine)
             wall = min(wall, time.perf_counter() - start)
             if stats is not None and rep_stats != stats:
                 raise ConfigError(

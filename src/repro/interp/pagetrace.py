@@ -2,8 +2,8 @@
 
 Research companions to the simulator: extract a program's page-reference
 trace (work accesses only, at page granularity) and compute the classic
-locality curves -- LRU miss counts across capacities (via reuse/stack
-distances, one pass), working-set sizes, and reuse-distance histograms.
+locality curves -- reuse/stack distances and, from one distance pass,
+LRU miss counts across capacities.
 
 These are the tools one uses to *choose* experiment scales: the paper's
 "~2x memory" out-of-core operating point is exactly the knee these curves
@@ -155,39 +155,3 @@ def lru_miss_counts(
     return {
         cap: cold + int(np.count_nonzero(warm >= cap)) for cap in capacities
     }
-
-
-def working_set_sizes(trace: Sequence[int], window: int) -> np.ndarray:
-    """Denning working-set size |W(t, window)| at every position."""
-    if window <= 0:
-        raise ExecutionError(f"window must be positive, got {window}")
-    trace = np.asarray(trace, dtype=np.int64)
-    out = np.empty(len(trace), dtype=np.int64)
-    counts: dict[int, int] = {}
-    for i, page in enumerate(trace):
-        counts[page] = counts.get(page, 0) + 1
-        if i >= window:
-            old = int(trace[i - window])
-            remaining = counts[old] - 1
-            if remaining:
-                counts[old] = remaining
-            else:
-                del counts[old]
-        out[i] = len(counts)
-    return out
-
-
-def reuse_histogram(
-    trace: Sequence[int], bin_edges: Sequence[int]
-) -> dict[str, int]:
-    """Histogram of stack distances over ``bin_edges`` (plus cold/beyond)."""
-    distances = reuse_distances(trace)
-    out: dict[str, int] = {"cold": int(np.count_nonzero(distances < 0))}
-    warm = distances[distances >= 0]
-    previous = 0
-    for edge in bin_edges:
-        label = f"<{edge}"
-        out[label] = int(np.count_nonzero((warm >= previous) & (warm < edge)))
-        previous = edge
-    out[f">={previous}"] = int(np.count_nonzero(warm >= previous))
-    return out

@@ -30,9 +30,11 @@ worker dying at any instant can corrupt nothing:
   ``repro serve status --telemetry`` render.
 
 Telemetry is observation-only: workers attach an
-:class:`~repro.obs.observer.Observer` (proven bit-identical), and
-nothing here feeds back into scheduling, so every simulated result
-stays bit-identical to the golden trace with telemetry enabled.
+:class:`~repro.obs.observer.Observer` to ``run``/``compare`` jobs and
+nothing here feeds back into scheduling.  Every count matches a
+telemetry-off run and EMBAR jobs stay bit-identical; other runs' float statistics can differ in their last bits, because an
+observer sends each prefetch through the run-time layer's per-request
+charging (docs/observability.md, *Fidelity over wall-clock*).
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class TelemetryConfig:
     """Everything the telemetry pipeline tunes.
 
     Enabled by default: aggregation rides the existing result channel
-    and costs one observer per job (proven bit-identical).  Per-job
+    and costs one observer per ``run``/``compare`` job.  Per-job
     Chrome traces are the expensive part and stay opt-in via
     ``trace_out`` (the merged farm timeline) -- requesting the timeline
     implies recording the per-job segments it is built from.

@@ -1,12 +1,7 @@
 """Supervised simulation job farm (``repro serve``; docs/serving.md)."""
 
-from repro.serve.controller import (
-    Farm,
-    FarmConfig,
-    FarmReport,
-    recover_farm,
-    run_farm,
-)
+import importlib
+
 from repro.serve.jobspec import (
     JobRecord,
     JobSpec,
@@ -26,7 +21,18 @@ from repro.serve.ledger import (
 )
 from repro.serve.queue import AdmissionQueue
 from repro.serve.retry import RetryPolicy
-from repro.serve.supervisor import WorkerPool
+
+#: Farm-runtime exports resolved lazily: every CLI run command imports
+#: :class:`JobSpec`, and should not pay for asyncio, multiprocessing and
+#: the telemetry pipeline that only ``repro serve`` uses.
+_LAZY_EXPORTS = {
+    "Farm": "controller",
+    "FarmConfig": "controller",
+    "FarmReport": "controller",
+    "recover_farm": "controller",
+    "run_farm": "controller",
+    "WorkerPool": "supervisor",
+}
 
 __all__ = [
     "AdmissionQueue",
@@ -51,3 +57,10 @@ __all__ = [
     "run_farm",
     "save_jobs",
 ]
+
+
+def __getattr__(name: str):
+    if name in _LAZY_EXPORTS:
+        module = importlib.import_module(f"repro.serve.{_LAZY_EXPORTS[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

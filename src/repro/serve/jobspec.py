@@ -37,7 +37,8 @@ JOBS_VERSION = 1
 #: Request kinds the farm executes (mirrors the one-shot CLI verbs).
 JOB_KINDS: tuple[str, ...] = ("run", "compare", "sweep", "chaos")
 
-#: Execution variants a ``run``/``chaos`` job may ask for.
+#: Execution variants a ``run``/``chaos`` job may ask for (the machine
+#: each one runs on: ``repro.harness.experiment.VARIANTS``).
 JOB_VARIANTS: tuple[str, ...] = ("o", "p", "nofilter", "adaptive")
 
 
@@ -98,6 +99,17 @@ class JobSpec:
             raise ConfigError(
                 f"job variant must be one of {JOB_VARIANTS}, got {self.variant!r}"
             )
+        # Reject fields the kind would silently ignore (docs/serving.md
+        # lists which kinds each field applies to).
+        if self.kind == "sweep" and self.faults is not None:
+            raise ConfigError("sweep jobs run clean: faults applies to "
+                              "run/compare/chaos jobs")
+        if self.kind == "chaos" and self.warm:
+            raise ConfigError("chaos jobs run cold: warm applies to "
+                              "run/compare/sweep jobs")
+        if self.kind in ("compare", "sweep") and self.variant != "p":
+            raise ConfigError(f"{self.kind} jobs run O and P: variant "
+                              f"applies to run/chaos jobs")
         if self.pages < 0:
             raise ConfigError(f"pages must be >= 0, got {self.pages}")
         if self.memory_pages < 0:

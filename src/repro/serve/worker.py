@@ -47,17 +47,6 @@ def result_path(results_dir: str | Path, job_id: str, attempt: int) -> Path:
     return Path(results_dir) / f"{job_id}.a{attempt}.json"
 
 
-def _platform(spec):
-    from repro.config import PlatformConfig
-
-    overrides = {}
-    if spec.memory_pages:
-        overrides["memory_pages"] = spec.memory_pages
-    if spec.disks:
-        overrides["num_disks"] = spec.disks
-    return PlatformConfig(**overrides)
-
-
 def execute_job(spec, job_dir: Path, resume: bool,
                 checkpoint_every_us: float = DEFAULT_CHECKPOINT_EVERY_US,
                 observer=None) -> dict[str, Any]:
@@ -69,105 +58,55 @@ def execute_job(spec, job_dir: Path, resume: bool,
     re-dying), and whatever the simulator raises for poison jobs.
 
     ``observer`` attaches farm telemetry to ``run``/``compare`` jobs
-    (live obs.* histograms plus the per-job trace).  Attaching an
-    observer is proven bit-identical, and the result payload is still
-    computed from a fresh ``RunStats.publish`` registry, so a job run
-    with telemetry returns exactly the bits of one run without.
+    (live obs.* histograms plus the per-job trace); ``sweep``/``chaos``
+    jobs run unobserved, because an observer forces the scalar chunk
+    loop.  The payload is computed from a fresh ``RunStats.publish``
+    registry, and every count matches a run without telemetry.  Float
+    statistics may differ in their last bits: an observer sends each
+    prefetch through the run-time layer, which charges per request
+    where the inline filter batches the charge (docs/observability.md,
+    *Fidelity over wall-clock*).
     """
-    from repro.apps.registry import get_app
     from repro.checkpoint import CheckpointConfig
-    from repro.core.options import CompilerOptions
-    from repro.core.prefetch_pass import insert_prefetches
-    from repro.faults.plan import FaultPlan
-    from repro.harness.experiment import (
-        compare_app,
-        default_data_pages,
-        run_variant,
-    )
+    from repro.faults.chaos import chaos_report_dict
+    from repro.harness.experiment import execute
     from repro.obs.metrics import RUN_METRIC_NAMES
 
-    platform = _platform(spec)
-    app = get_app(spec.app)
-    pages = spec.pages or default_data_pages(platform,
-                                             app.default_memory_multiple)
-    plan = FaultPlan.from_dict(spec.faults) if spec.faults else None
     # A kill can land before the first checkpoint of the first attempt,
     # in which case the job directory was never created: resuming then
     # just means starting fresh.
     resume = resume and job_dir.is_dir()
-
+    checkpoint = CheckpointConfig(
+        every_us=checkpoint_every_us, directory=job_dir, label="job",
+        resume_from=job_dir if resume else None,
+    )
+    result = execute(
+        spec, checkpoint=checkpoint,
+        observer=observer if spec.kind in ("run", "compare") else None,
+    )
     if spec.kind == "run":
-        program = app.make(pages, seed=spec.seed)
-        checkpoint = CheckpointConfig(
-            every_us=checkpoint_every_us, directory=job_dir, label="job",
-            resume_from=job_dir if resume else None,
-        )
-        if spec.variant == "o":
-            stats = run_variant(program, platform, prefetching=False,
-                                warm=spec.warm, fault_plan=plan,
-                                checkpoint=checkpoint, observer=observer)
-        else:
-            compiled = insert_prefetches(
-                program, CompilerOptions.from_platform(platform)
-            )
-            stats = run_variant(
-                compiled.program, platform, prefetching=True,
-                runtime_filter=spec.variant != "nofilter", warm=spec.warm,
-                adaptive=spec.variant == "adaptive", fault_plan=plan,
-                checkpoint=checkpoint, observer=observer,
-            )
-        registry = stats.publish()
-        return {
-            "kind": "run",
-            "app": app.name,
-            "variant": spec.variant,
-            "data_pages": pages,
-            "elapsed_us": stats.elapsed_us,
-            "metrics": {name: registry.value(name)
-                        for name in RUN_METRIC_NAMES},
-        }
-
+        registry = result.stats.publish()
+        return {"kind": "run", "app": result.app, "variant": spec.variant,
+                "data_pages": result.data_pages,
+                "elapsed_us": result.stats.elapsed_us,
+                "metrics": {name: registry.value(name)
+                            for name in RUN_METRIC_NAMES}}
     if spec.kind == "compare":
-        checkpoint = CheckpointConfig(
-            every_us=checkpoint_every_us, directory=job_dir,
-            resume_from=job_dir if resume else None,
-        )
-        result = compare_app(app, platform, data_pages=spec.pages or None,
-                             seed=spec.seed, warm=spec.warm, fault_plan=plan,
-                             checkpoint=checkpoint, observer=observer)
-        variants = [result.original, result.prefetch]
-        return {
-            "kind": "compare",
-            "app": app.name,
-            "data_pages": result.data_pages,
-            "speedup": result.speedup,
-            "rows": [{"variant": run.variant,
-                      "elapsed_us": run.stats.elapsed_us,
-                      "stall_us": run.stats.times.idle}
-                     for run in variants],
-        }
-
+        return {"kind": "compare", "app": result.app,
+                "data_pages": result.data_pages, "speedup": result.speedup,
+                "rows": [{"variant": run.variant,
+                          "elapsed_us": run.stats.elapsed_us,
+                          "stall_us": run.stats.times.idle}
+                         for run in (result.original, result.prefetch)]}
     if spec.kind == "sweep":
-        rows = []
-        for multiple in spec.multiples:
-            sweep_pages = max(8, int(platform.available_frames * multiple))
-            point = compare_app(app, platform, data_pages=sweep_pages,
-                                seed=spec.seed, warm=spec.warm)
-            rows.append({"multiple": multiple,
-                         "data_pages": sweep_pages,
-                         "original_us": point.original.elapsed_us,
-                         "prefetch_us": point.prefetch.elapsed_us,
-                         "speedup": point.speedup})
-        return {"kind": "sweep", "app": app.name, "rows": rows}
-
-    # spec.kind == "chaos" (JobSpec validated the kind at admission).
-    from repro.faults.chaos import chaos_report_dict, chaos_sweep
-
-    report = chaos_sweep(app, platform, base_plan=plan,
-                         intensities=spec.intensities,
-                         data_pages=spec.pages or None,
-                         seed=spec.seed, variant=spec.variant)
-    return chaos_report_dict(report)
+        return {"kind": "sweep", "app": result[0].app,
+                "rows": [{"multiple": multiple,
+                          "data_pages": point.data_pages,
+                          "original_us": point.original.elapsed_us,
+                          "prefetch_us": point.prefetch.elapsed_us,
+                          "speedup": point.speedup}
+                         for multiple, point in zip(spec.multiples, result)]}
+    return chaos_report_dict(result)
 
 
 def _heartbeat_loop(beats, worker_id: int, interval_s: float,

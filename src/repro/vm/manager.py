@@ -226,9 +226,6 @@ class MemoryManager:
         """Close out the free-memory integral at the end of the run."""
         self._tick_free()
 
-    def resident_count(self) -> int:
-        return self.frames.in_use
-
     # ------------------------------------------------------------------
     # Frame acquisition and eviction
     # ------------------------------------------------------------------

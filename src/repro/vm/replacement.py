@@ -69,9 +69,5 @@ class ClockRing:
             raise MachineError("clock hand failed to find a victim among live pages")
         return None
 
-    @property
-    def live_count(self) -> int:
-        return self._live
-
     def __len__(self) -> int:
         return len(self._ring)

@@ -8,7 +8,8 @@ from repro.core.analysis.planner import PlanKind, plan_program
 from repro.core.ir.validate import validate_program
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
+from repro.harness.experiment import size_class_pages
 from repro.interp.tracing import access_trace
 
 # Big enough that every major array exceeds the compiler's effective-memory
@@ -134,21 +135,26 @@ class TestAppSignatures:
 
 
 class TestSizeClasses:
-    def test_classes_scale_monotonically(self):
-        from repro.apps.base import SIZE_CLASSES
+    """``--size-class`` resolution (the run spine's ``size_class_pages``)."""
 
-        spec = get_app("EMBAR")
+    PLATFORM = PlatformConfig(memory_pages=512, available_fraction=0.75)
+
+    def make_class(self, app, size_class):
+        assert self.PLATFORM.available_frames == 384
+        return get_app(app).make(size_class_pages(size_class, self.PLATFORM))
+
+    def test_classes_scale_monotonically(self):
         sizes = [
-            spec.make_class(cls, available_frames=384).total_data_bytes()
+            self.make_class("EMBAR", cls).total_data_bytes()
             for cls in ("S", "W", "A", "B")
         ]
         assert sizes == sorted(sizes)
         assert sizes[0] < sizes[-1]
 
     def test_unknown_class_rejected(self):
-        with pytest.raises(KeyError):
-            get_app("BUK").make_class("Z", available_frames=384)
+        with pytest.raises(ConfigError):
+            size_class_pages("Z", self.PLATFORM)
 
     def test_class_a_is_out_of_core(self):
-        program = get_app("FFT").make_class("A", available_frames=384)
+        program = self.make_class("FFT", "A")
         assert program.total_data_bytes() > 384 * 4096

@@ -90,3 +90,16 @@ def test_lint_catches_bench_profile_drift(check_docs, tmp_path):
     mutated.write_text(doc.replace("| `table3` |", "| not-a-row |"))
     problems = check_docs.check(performance_doc_path=mutated)
     assert any("'table3'" in p and "not documented" in p for p in problems)
+
+
+def test_lint_catches_flag_group_drift(check_docs, tmp_path):
+    """The README's flag-group list must match the parser both ways."""
+    readme = (REPO_ROOT / "README.md").read_text()
+    mutated = tmp_path / "README.md"
+    line = "- `--variant`: run, trace, explain, profile, chaos"
+    assert line in readme
+
+    mutated.write_text(readme.replace(line, line[:-len(", chaos")]))
+    problems = check_docs.check(flag_doc_paths=(mutated,))
+    assert any("stale" in p and "--variant" in p for p in problems)
+    assert any("not listed" in p and "--variant" in p for p in problems)

@@ -200,6 +200,15 @@ class TestJobSpec:
             JobSpec(kind="run", app="EMBAR", faults={"nonsense": True})
         with pytest.raises(ConfigError):
             JobSpec.from_dict({"kind": "run", "app": "EMBAR", "bogus": 1})
+        # Fields the kind would silently ignore.
+        with pytest.raises(ConfigError):
+            JobSpec(kind="sweep", app="EMBAR", faults={"seed": 1})
+        with pytest.raises(ConfigError):
+            JobSpec(kind="chaos", app="EMBAR", warm=True)
+        with pytest.raises(ConfigError):
+            JobSpec(kind="compare", app="EMBAR", variant="o")
+        with pytest.raises(ConfigError):
+            JobSpec(kind="sweep", app="EMBAR", variant="nofilter")
 
     def test_record_terminal_and_latency(self):
         rec = record("a")
