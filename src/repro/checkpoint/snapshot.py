@@ -36,7 +36,7 @@ from repro.vm.page import PageColumns
 
 #: Version of the pickled state layout (independent of the container
 #: format version in :mod:`repro.checkpoint.store`).
-SNAPSHOT_VERSION = 2  # v2: Page ref/dirty/version moved to PageColumns
+SNAPSHOT_VERSION = 3  # v3: columnar trace ring, absent for metrics-only observers
 
 
 def _plan_fingerprint(plan) -> str | None:
@@ -175,10 +175,8 @@ def _capture_state(machine, executor) -> dict[str, Any]:
             "out_of_range_hints": executor.out_of_range_hints,
         },
         "obs": None if machine.obs is None else {
-            "capacity": machine.obs.trace.capacity,
-            "ring": machine.obs.trace._ring,
-            "next": machine.obs.trace._next,
-            "total": machine.obs.trace._total,
+            "ring": (None if machine.obs.trace is None
+                     else machine.obs.trace.state()),
             "metrics": _capture_metrics(machine.obs.metrics),
         },
     }
@@ -415,16 +413,18 @@ def _restore_state(machine, executor, state: dict[str, Any]) -> None:
         raise CheckpointError("snapshot and machine disagree on observability")
     if machine.obs is not None:
         obs_state = state["obs"]
-        trace = machine.obs.trace
-        if trace.capacity != obs_state["capacity"]:
-            raise CheckpointError(
-                f"snapshot trace capacity {obs_state['capacity']} != "
-                f"machine's {trace.capacity}"
-            )
-        trace._ring = list(obs_state["ring"])
-        trace._next = obs_state["next"]
-        trace._total = obs_state["total"]
         _restore_metrics(machine.obs.metrics, obs_state["metrics"])
+        trace, ring = machine.obs.trace, obs_state["ring"]
+        if trace is not None:
+            # A ring continues only from a ring of the same capacity.
+            # Across tiers (or sizes) it starts empty, so the resumed
+            # segment opens with the runner's CHECKPOINT_RESTORE event;
+            # a snapshot's ring is simply dropped by a metrics-only
+            # observer.  Either way the metrics tier is restored in full.
+            if ring is not None and ring["capacity"] == trace.capacity:
+                trace.load_state(ring)
+            else:
+                trace.clear()
 
 
 # ----------------------------------------------------------------------

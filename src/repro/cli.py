@@ -206,9 +206,12 @@ def _checkpoint_from_args(
 
 
 def _make_observer(args: argparse.Namespace) -> Observer | None:
-    """An observer when any observability output was requested."""
-    if getattr(args, "trace", None) or getattr(args, "metrics_out", None):
+    """An observer when any observability output was requested (the
+    event ring only when a trace artifact was)."""
+    if getattr(args, "trace", None):
         return Observer(capacity=getattr(args, "trace_buffer", 65536))
+    if getattr(args, "metrics_out", None):
+        return Observer(capacity=None)
     return None
 
 

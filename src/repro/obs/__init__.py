@@ -2,9 +2,10 @@
 
 The subsystem has three pieces (see docs/observability.md):
 
-* :class:`TraceBuffer` -- a fixed-capacity ring of typed
+* :class:`TraceBuffer` -- a fixed-capacity, columnar ring of typed
   :class:`TraceEvent` records, emitted by the machine, the VM, the
-  run-time layer, and the disk array;
+  run-time layer, and the disk array (absent from a metrics-only
+  ``Observer(capacity=None)``);
 * :class:`MetricsRegistry` -- named counters / gauges / histograms;
   every ``RunStats`` counter publishes into it, plus three live
   histograms only observable while the run executes;

@@ -84,10 +84,13 @@ class TelemetryConfig:
     """Everything the telemetry pipeline tunes.
 
     Enabled by default: aggregation rides the existing result channel
-    and costs one observer per ``run``/``compare`` job.  Per-job
-    Chrome traces are the expensive part and stay opt-in via
-    ``trace_out`` (the merged farm timeline) -- requesting the timeline
-    implies recording the per-job segments it is built from.
+    and costs one metrics-only observer per ``run``/``compare`` job --
+    about 1.6x the farm wall of telemetry off (the observer forces the
+    scalar chunk loop; docs/observability.md, *Farm telemetry*).
+    Per-job Chrome traces are the expensive part and stay opt-in via
+    ``trace_out`` (the merged farm timeline): requesting the timeline
+    gives every observer its event ring and records the per-job
+    segments the timeline is built from, about 5x telemetry off.
     """
 
     enabled: bool = True

@@ -3,11 +3,13 @@
 Every interesting transition inside a run -- a fault, a prefetch being
 issued / filtered / dropped, a release, an eviction, a disk request --
 can be recorded as one :class:`TraceEvent` in a fixed-capacity ring
-buffer.  The buffer never allocates after construction beyond the event
-tuples themselves, wraps around silently (keeping the *newest* events,
-counting what it overwrote), and costs nothing when absent: every
-emitting component holds an observer reference that is ``None`` unless
-tracing was requested, so the hot paths pay one identity check at most.
+buffer.  The buffer stores events in preallocated typed columns, never
+allocates per event, wraps around silently (keeping the *newest* events,
+counting what it overwrote), and costs nothing when absent: a
+metrics-only :class:`~repro.obs.observer.Observer` has no buffer at
+all, and every emitting component holds an observer reference that is
+``None`` unless observation was requested, so the hot paths pay one
+identity check at most.
 
 Events are flat and fixed-schema on purpose.  Each carries the simulated
 timestamp, a :class:`TraceKind`, a page number, a page count, one
@@ -19,7 +21,8 @@ kind, and ``scripts/check_docs.py`` keeps that table honest.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, NamedTuple
+from array import array
+from typing import Any, Iterator, NamedTuple
 
 from repro.errors import MachineError
 
@@ -92,28 +95,37 @@ class TraceEvent(NamedTuple):
     tag: str
 
 
+#: Kind <-> one-byte code of the ring's kind column.
+_KINDS: tuple[TraceKind, ...] = tuple(TraceKind)
+_KIND_CODE: dict[TraceKind, int] = {kind: code for code, kind in enumerate(_KINDS)}
+
+
 class TraceBuffer:
-    """Fixed-capacity ring buffer of :class:`TraceEvent`.
+    """Fixed-capacity ring buffer of :class:`TraceEvent`, stored in columns.
 
     ``emit`` appends; once ``capacity`` events have been written the
     buffer wraps and the oldest events are overwritten (``dropped``
     counts them).  ``events()`` returns the surviving events oldest
-    first.  A buffer constructed with ``enabled=False`` is a pure no-op
-    recorder -- components additionally skip the call entirely when no
-    observer is attached, so disabled-mode cost is a single ``is None``
-    check on their side.
+    first, as :class:`TraceEvent` tuples.
+
+    Storage is six preallocated typed columns -- timestamp, kind code,
+    page, page count, value, tag code -- plus a table interning the
+    tags, so :meth:`state` (what a checkpoint pickles) is a handful of
+    buffer copies rather than one object per event.
     """
 
-    __slots__ = ("capacity", "enabled", "_ring", "_next", "_total")
+    __slots__ = ("capacity", "_ts", "_kind", "_vpage", "_npages", "_value",
+                 "_tag", "_tags", "_tag_code", "_next", "_total")
 
-    def __init__(self, capacity: int = 65536, enabled: bool = True) -> None:
+    def __init__(self, capacity: int = 65536) -> None:
         if capacity <= 0:
             raise MachineError(f"trace buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.enabled = enabled
-        self._ring: list[TraceEvent | None] = [None] * capacity
-        self._next = 0
-        self._total = 0
+        self.clear()
+
+    def _columns(self) -> tuple[array, ...]:
+        return (self._ts, self._kind, self._vpage, self._npages,
+                self._value, self._tag)
 
     # ------------------------------------------------------------------
 
@@ -127,10 +139,19 @@ class TraceBuffer:
         tag: str = "",
     ) -> None:
         """Record one event (drops the oldest when the ring is full)."""
-        if not self.enabled:
-            return
-        self._ring[self._next] = TraceEvent(ts_us, kind, vpage, npages, value, tag)
-        self._next = (self._next + 1) % self.capacity
+        i = self._next
+        self._ts[i] = ts_us
+        self._kind[i] = _KIND_CODE[kind]
+        self._vpage[i] = vpage
+        self._npages[i] = npages
+        self._value[i] = value
+        code = self._tag_code.get(tag)
+        if code is None:
+            code = self._tag_code[tag] = len(self._tags)
+            self._tags.append(tag)
+        self._tag[i] = code
+        i += 1
+        self._next = i if i < self.capacity else 0
         self._total += 1
 
     # ------------------------------------------------------------------
@@ -148,12 +169,24 @@ class TraceBuffer:
         """Events lost to wraparound."""
         return max(0, self._total - self.capacity)
 
+    def _live(self, column: array) -> array:
+        """The surviving entries of one column, oldest first."""
+        if self._total < self.capacity:
+            return column[: self._next]
+        return column[self._next:] + column[: self._next]
+
     def events(self) -> list[TraceEvent]:
         """Surviving events, oldest first."""
-        if self._total < self.capacity:
-            return [e for e in self._ring[: self._next] if e is not None]
-        tail = self._ring[self._next:] + self._ring[: self._next]
-        return [e for e in tail if e is not None]
+        live = self._live
+        rows = zip(
+            live(self._ts),
+            map(_KINDS.__getitem__, live(self._kind)),
+            live(self._vpage),
+            live(self._npages),
+            live(self._value),
+            map(self._tags.__getitem__, live(self._tag)),
+        )
+        return list(map(TraceEvent._make, rows))
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events())
@@ -161,16 +194,53 @@ class TraceBuffer:
     def counts_by_kind(self) -> dict[str, int]:
         """Surviving event counts keyed by kind value (for summaries)."""
         counts: dict[str, int] = {}
-        for event in self.events():
-            key = event.kind.value
+        for code in self._live(self._kind):
+            key = _KINDS[code].value
             counts[key] = counts.get(key, 0) + 1
         return counts
 
     def clear(self) -> None:
         """Forget everything recorded so far (capacity is kept)."""
-        self._ring = [None] * self.capacity
+        n = self.capacity
+        self._ts = array("d", bytes(8 * n))
+        self._kind = array("B", bytes(n))
+        self._vpage = array("q", bytes(8 * n))
+        self._npages = array("q", bytes(8 * n))
+        self._value = array("d", bytes(8 * n))
+        self._tag = array("I", bytes(array("I").itemsize * n))
+        self._tags: list[str] = []
+        self._tag_code: dict[str, int] = {}
         self._next = 0
         self._total = 0
+
+    # ------------------------------------------------------------------
+    # Checkpoint state
+    # ------------------------------------------------------------------
+
+    def state(self) -> dict[str, Any]:
+        """The ring's contents as plain picklable data (a snapshot section).
+
+        Columns are cut to the written prefix, so a ring that has not
+        wrapped costs only what it holds.
+        """
+        written = len(self)
+        return {"capacity": self.capacity, "next": self._next,
+                "total": self._total, "tags": list(self._tags),
+                "columns": [column[:written] for column in self._columns()]}
+
+    def load_state(self, state: dict[str, Any]) -> None:
+        """Replace the contents with a :meth:`state` of the same capacity."""
+        if state["capacity"] != self.capacity:
+            raise MachineError(
+                f"trace state capacity {state['capacity']} != {self.capacity}"
+            )
+        self.clear()
+        for column, saved in zip(self._columns(), state["columns"]):
+            column[: len(saved)] = saved
+        self._tags = list(state["tags"])
+        self._tag_code = {tag: code for code, tag in enumerate(self._tags)}
+        self._next = state["next"]
+        self._total = state["total"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TraceBuffer(capacity={self.capacity}, kept={len(self)}, "

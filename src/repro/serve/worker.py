@@ -47,6 +47,22 @@ def result_path(results_dir: str | Path, job_id: str, attempt: int) -> Path:
     return Path(results_dir) / f"{job_id}.a{attempt}.json"
 
 
+def job_observer(telemetry: dict | None):
+    """The observer a worker attaches to one job, or None.
+
+    ``telemetry`` is the worker's :meth:`~repro.obs.telemetry.
+    TelemetryConfig.worker_args` dict.  Telemetry alone needs only the
+    metrics tier; the event ring is allocated only when per-job traces
+    were requested (``traces_dir``, i.e. ``--farm-trace``), because
+    every checkpoint of the job would otherwise carry it.
+    """
+    if telemetry is None:
+        return None
+    from repro.obs.observer import Observer
+
+    return Observer() if telemetry.get("traces_dir") else Observer(capacity=None)
+
+
 def execute_job(spec, job_dir: Path, resume: bool,
                 checkpoint_every_us: float = DEFAULT_CHECKPOINT_EVERY_US,
                 observer=None) -> dict[str, Any]:
@@ -58,14 +74,17 @@ def execute_job(spec, job_dir: Path, resume: bool,
     re-dying), and whatever the simulator raises for poison jobs.
 
     ``observer`` attaches farm telemetry to ``run``/``compare`` jobs
-    (live obs.* histograms plus the per-job trace); ``sweep``/``chaos``
-    jobs run unobserved, because an observer forces the scalar chunk
-    loop.  The payload is computed from a fresh ``RunStats.publish``
-    registry, and every count matches a run without telemetry.  Float
-    statistics may differ in their last bits: an observer sends each
-    prefetch through the run-time layer, which charges per request
-    where the inline filter batches the charge (docs/observability.md,
-    *Fidelity over wall-clock*).
+    (live obs.* histograms, plus the per-job trace when it has a ring;
+    see :func:`job_observer`); ``sweep``/``chaos`` jobs run unobserved,
+    because an observer forces the scalar chunk loop.  That loop makes
+    an observed job ~3x slower than an unobserved one on the demo
+    batch; a ring adds another ~1.8x, as every checkpoint copies it
+    (docs/observability.md, *Overhead*).  The payload is computed from
+    a fresh ``RunStats.publish`` registry, and every count matches a
+    run without telemetry.  Float statistics may differ in their last
+    bits: an observer sends each prefetch through the run-time layer,
+    which charges per request where the inline filter batches the
+    charge (docs/observability.md, *Fidelity over wall-clock*).
     """
     from repro.checkpoint import CheckpointConfig
     from repro.faults.chaos import chaos_report_dict
@@ -213,11 +232,8 @@ def worker_main(worker_id: int, inbox, beats, results_dir: str,
         spec = JobSpec.from_dict(message["spec"])
         attempt = message["attempt"]
         job_dir = Path(ckpt_root) / spec.job_id
-        observer = None
-        if telemetry is not None:
-            from repro.obs.observer import Observer
-
-            observer = Observer()
+        observer = job_observer(telemetry)
+        if observer is not None:
             slot["current"] = (spec, attempt, observer)
         payload: dict[str, Any] = {
             "job_id": spec.job_id,

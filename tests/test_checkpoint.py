@@ -25,6 +25,7 @@ from repro.checkpoint import (
     Checkpointer,
     CheckpointStore,
     Snapshot,
+    capture,
     describe_state,
     read_checkpoint_file,
     run_with_recovery,
@@ -192,6 +193,99 @@ class TestPureObservation:
         assert writes and all(e.kind is TraceKind.CHECKPOINT_WRITE
                               for e in writes)
         assert [e for e in ckpted if e.kind not in _CKPT_KINDS] == plain
+
+
+# ----------------------------------------------------------------------
+# Observer tiers: the event ring in snapshots, and resume across tiers
+# ----------------------------------------------------------------------
+
+
+def _tiered_factory(capacities):
+    """A factory whose n-th incarnation gets ``Observer(capacities[n])``;
+    the observers built so far are kept on ``make.observers``."""
+    def make():
+        obs = Observer(capacity=capacities[len(make.observers)])
+        make.observers.append(obs)
+        return _factory(True, observer=obs)()
+    make.observers = []
+    return make
+
+
+def _without_ckpt_metrics(obs):
+    # ckpt.* describe the checkpoints themselves (restores, payload
+    # sizes), which a resumed run differs in by construction.
+    return {name: value for name, value in obs.metrics.as_dict().items()
+            if not name.startswith("ckpt.")}
+
+
+class TestObserverTiers:
+    def test_wrapped_ring_round_trips(self, stream_program):
+        obs = Observer(capacity=64)
+        machine, executor = _factory(True, observer=obs)()
+        setup_checkpointing(machine, executor,
+                            CheckpointConfig(every_us=10_000.0))
+        executor.run(stream_program)
+        assert obs.trace.dropped > 0 and obs.trace.total_emitted % 64 != 0
+        snap = capture(machine, executor)
+
+        fresh = Observer(capacity=64)
+        fresh_machine, fresh_executor = _factory(True, observer=fresh)()
+        fresh_executor._bind_arrays(stream_program)
+        snap.restore_into(fresh_machine, fresh_executor)
+        assert fresh.trace.events() == obs.trace.events()
+        assert fresh.trace.dropped == obs.trace.dropped
+        assert fresh.trace.total_emitted == obs.trace.total_emitted
+        assert fresh.metrics.as_dict() == obs.metrics.as_dict()
+
+    @pytest.mark.parametrize("capacities", [(None, 65536), (65536, None)],
+                             ids=["metrics-to-ring", "ring-to-metrics"])
+    def test_resume_across_tiers(self, programs, capacities):
+        program = programs[("BUK", True)]
+        control = Observer(capacity=capacities[1])
+        machine, executor = _factory(True, observer=control)()
+        setup_checkpointing(machine, executor, CheckpointConfig(every_us=1.0))
+        base = executor.run(program)
+        crash_at = base.elapsed_us * 0.5
+        config = CheckpointConfig(every_us=1.0, crash_at_us=(crash_at,))
+
+        make = _tiered_factory(capacities)
+        rec = run_with_recovery(make, program, config)
+        assert (rec.crashes, rec.resumes) == (1, 1)
+        assert dataclasses.asdict(rec.stats) == dataclasses.asdict(base)
+        resumed = make.observers[-1]
+        assert _without_ckpt_metrics(resumed) == _without_ckpt_metrics(control)
+        assert resumed.metrics.value("ckpt.restores") == 1
+        if resumed.trace is None:
+            return
+        # The ring starts empty: the resumed segment opens with the
+        # restore, and what follows is the tail of the control's events.
+        events = resumed.trace.events()
+        assert events[0].kind is TraceKind.CHECKPOINT_RESTORE
+        tail = [e for e in events if e.kind not in _CKPT_KINDS]
+        full = [e for e in control.trace.events() if e.kind not in _CKPT_KINDS]
+        assert tail and full[-len(tail):] == tail
+
+    def test_metrics_only_payload_carries_no_ring(self, programs):
+        program = programs[("BUK", True)]
+
+        def payload_sizes(observer):
+            machine, executor = _factory(True, observer=observer)()
+            setup_checkpointing(machine, executor,
+                                CheckpointConfig(every_us=10_000.0))
+            sizes = []
+            executor.checkpointer.on_write = (
+                lambda snap: sizes.append(len(snap.payload)))
+            executor.run(program)
+            return sizes
+
+        plain = payload_sizes(None)
+        observer = Observer(capacity=None)
+        observed = payload_sizes(observer)
+        assert len(plain) == len(observed) >= 10
+        # The metrics tier adds about 1 KiB (the registry); a ring would
+        # add megabytes.
+        assert all(0 < o - p <= 4096 for p, o in zip(plain, observed))
+        assert observer.metrics.value("ckpt.payload_bytes") == observed[-1]
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the observability layer (repro.obs).
 
-Covers the trace ring buffer (wraparound, disabled no-op), the metrics
+Covers the trace ring buffer (wraparound, columnar storage), the two
+observer cost tiers (metrics-only equals the ringed observer), the metrics
 registry (aggregation, type safety), the RunStats publish surface, the
 no-perturbation guarantee (observed runs are bit-identical to
 unobserved ones), multiprogrammed interleaving, and a golden-file pin
@@ -80,12 +81,19 @@ class TestTraceBuffer:
         assert buf.dropped == 0
         assert [e.ts_us for e in buf.events()] == [0.0, 1.0, 2.0]
 
-    def test_disabled_is_a_no_op(self):
-        buf = TraceBuffer(capacity=8, enabled=False)
-        buf.emit(1.0, TraceKind.FAULT, vpage=3)
-        assert len(buf) == 0
-        assert buf.total_emitted == 0
-        assert buf.events() == []
+    def test_columns_give_back_the_emitted_fields(self):
+        buf = TraceBuffer(capacity=4)
+        buf.emit(0.5, TraceKind.DISK_REQUEST, 7, 3, 12.25, "disk1:prefetch")
+        buf.emit(1.5, TraceKind.EVICTION, 9, value=1.0, tag="daemon")
+        buf.emit(2.5, TraceKind.DISK_REQUEST, 8, 2, 0.0, "disk1:prefetch")
+        first, second, third = buf.events()
+        assert first == (0.5, TraceKind.DISK_REQUEST, 7, 3, 12.25,
+                         "disk1:prefetch")
+        assert second == (1.5, TraceKind.EVICTION, 9, 1, 1.0, "daemon")
+        assert third.tag == "disk1:prefetch"
+        assert first.kind is TraceKind.DISK_REQUEST
+        assert [type(v) for v in first] == [float, TraceKind, int, int,
+                                            float, str]
 
     def test_counts_by_kind(self):
         buf = TraceBuffer(capacity=8)
@@ -327,6 +335,44 @@ class TestWrappedRingExports:
     def test_wrap_does_not_perturb_the_simulation(self):
         bare = run_variant(_compiled_stream(), CFG, prefetching=True)
         assert bare.elapsed_us == self.stats.elapsed_us
+
+
+# ----------------------------------------------------------------------
+# Observer cost tiers: metrics-only vs event ring
+# ----------------------------------------------------------------------
+
+
+class _EventCounter:
+    """A sink that counts what it is shown."""
+
+    def __init__(self):
+        self.seen = 0
+
+    def on_event(self, *event):
+        self.seen += 1
+
+
+class TestObserverTiers:
+    def test_metrics_only_matches_event_tier(self):
+        tiers = {}
+        for capacity in (None, 65536):
+            obs = Observer(capacity=capacity)
+            obs.sink = _EventCounter()
+            stats = run_variant(_compiled_stream(), CFG, prefetching=True,
+                                observer=obs)
+            tiers[capacity] = (obs, stats)
+        (bare, bare_stats), (ringed, ringed_stats) = tiers[None], tiers[65536]
+        assert bare.trace is None
+        assert ringed.trace.total_emitted > 0
+        assert bare_stats == ringed_stats
+        # Every obs.* histogram bucket, counter and gauge agrees.
+        assert bare.metrics.as_dict() == ringed.metrics.as_dict()
+        for name in OBS_METRIC_NAMES:
+            assert bare.metrics.get(name).kind == ringed.metrics.get(name).kind
+        assert bare.stall_latency.buckets == ringed.stall_latency.buckets
+        assert bare.stall_latency.count > 0
+        # Metrics-only still feeds the sink every event.
+        assert bare.sink.seen == ringed.sink.seen == ringed.trace.total_emitted
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,7 @@ from repro.obs.telemetry import (
     load_slo_rules,
 )
 from repro.serve import FarmConfig, JobSpec, JobState, RetryPolicy, run_farm
-from repro.serve.worker import execute_job
+from repro.serve.worker import execute_job, job_observer
 
 FAST_RETRY = RetryPolicy(base_s=0.01, cap_s=0.05, seed=1)
 BOUNDS = (10.0, 100.0, 1000.0)
@@ -364,6 +364,24 @@ def test_facade_registers_all_documented_metrics(tmp_path):
                               serve_metrics=MetricsRegistry())
     for name in TELEMETRY_METRIC_NAMES + SLO_METRIC_NAMES:
         assert name in telemetry.registry
+
+
+def test_worker_observer_tier_follows_farm_trace(tmp_path):
+    """Telemetry alone gets a metrics-only observer; only --farm-trace
+    (per-job traces) pays for the event ring."""
+    plain = TelemetryConfig().worker_args(str(tmp_path), str(tmp_path / "t"))
+    assert plain["traces_dir"] is None
+    observer = job_observer(plain)
+    assert observer is not None and observer.trace is None
+
+    traced = TelemetryConfig(trace_out=str(tmp_path / "farm.json"))
+    observer = job_observer(traced.worker_args(str(tmp_path),
+                                               str(tmp_path / "t")))
+    assert observer.trace is not None
+    assert observer.trace.capacity == Observer().trace.capacity
+
+    assert job_observer(TelemetryConfig(enabled=False).worker_args(
+        str(tmp_path), str(tmp_path / "t"))) is None
 
 
 # ----------------------------------------------------------------------
