@@ -167,7 +167,10 @@ class Affine(Expr):
             if name == var:
                 total = total + coeff * values
             else:
-                total += coeff * env[name]
+                try:
+                    total = total + coeff * env[name]
+                except KeyError:
+                    raise ExecutionError(f"unbound variable {name!r}") from None
         return total
 
     def try_const(self, known) -> int | None:
@@ -365,7 +368,7 @@ def as_expr(value: ExprLike | str) -> Expr:
     raise IRError(f"cannot convert {value!r} to an expression")
 
 
-def _as_affine_parts(expr: Expr) -> tuple[dict[str, int], int] | None:
+def affine_parts(expr: Expr) -> tuple[dict[str, int], int] | None:
     """Decompose into (terms, const) if expr is affine, else None."""
     if isinstance(expr, Const):
         return {}, expr.value
@@ -378,8 +381,8 @@ def _as_affine_parts(expr: Expr) -> tuple[dict[str, int], int] | None:
 
 def affine_sum(a: Expr, b: Expr, sign: int) -> Expr:
     """``a + sign*b``, folding into one Affine when both sides allow it."""
-    pa = _as_affine_parts(a)
-    pb = _as_affine_parts(b)
+    pa = affine_parts(a)
+    pb = affine_parts(b)
     if pa is None or pb is None:
         raise IRError(
             f"cannot add non-affine expressions symbolically: {a!r}, {b!r}"
@@ -395,7 +398,7 @@ def affine_sum(a: Expr, b: Expr, sign: int) -> Expr:
 
 
 def affine_scale(a: Expr, factor: int) -> Expr:
-    pa = _as_affine_parts(a)
+    pa = affine_parts(a)
     if pa is None:
         raise IRError(f"cannot scale non-affine expression {a!r}")
     terms, const = pa

@@ -27,7 +27,10 @@ the machine / checkpoint / multiprog layers, and raises
     to the uninterrupted run's.
 ``vector_equivalence``
     The vectorized chunk-replay kernel and the scalar loop produce
-    bit-identical ``RunStats``.
+    bit-identical ``RunStats``, and so does the vectorized replay unit
+    by unit (leaf by leaf, as with a checkpointer attached) instead of
+    whole fused loop nests, with the same unit cursor and dropped-hint
+    count.
 ``chaos_termination``
     A run under a composed fault plan (slow disks, dead disks, read
     errors, hint failures, pressure storms, stale bit vectors, crashes)
@@ -55,7 +58,11 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro.checkpoint.runner import CheckpointConfig, run_with_recovery
+from repro.checkpoint.runner import (
+    CheckpointConfig,
+    Checkpointer,
+    run_with_recovery,
+)
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
 from repro.errors import ReproError
@@ -287,24 +294,36 @@ def check_checkpoint_equivalence(scenario: Scenario) -> None:
 
 def check_vector_equivalence(scenario: Scenario) -> None:
     platform = scenario.platform.build()
-    results = []
-    for scalar in (True, False):
+    runs = {}
+    # Scalar and vectorized chunk replay of the fused nests, then the
+    # vectorized replay unit by unit (a checkpointer that never writes
+    # keeps every leaf its own chunk).
+    for label, scalar, per_unit in (("scalar", True, False),
+                                    ("vectorized", False, False),
+                                    ("per-unit", False, True)):
         compiled = insert_prefetches(
             scenario.program.build(), CompilerOptions.from_platform(platform)
         ).program
         machine = Machine(platform, prefetching=True, scalar_chunks=scalar)
+        executor = Executor(machine)
+        if per_unit:
+            executor.checkpointer = Checkpointer(machine, executor,
+                                                 CheckpointConfig())
         RUNS.count += 1
-        results.append(Executor(machine).run(compiled))
-    scalar_dict = dataclasses.asdict(results[0])
-    vector_dict = dataclasses.asdict(results[1])
-    if scalar_dict != vector_dict:
-        diffs = [
-            key for key in scalar_dict
-            if scalar_dict[key] != vector_dict[key]
-        ]
+        stats = executor.run(compiled)
+        runs[label] = (dataclasses.asdict(stats), executor.units,
+                       executor.out_of_range_hints)
+    reference = runs["vectorized"]
+    for label in ("scalar", "per-unit"):
+        got = runs[label]
+        if got == reference:
+            continue
+        diffs = [key for key in reference[0] if reference[0][key] != got[0][key]]
+        if got[1:] != reference[1:]:
+            diffs.append("units/out_of_range_hints")
         raise OracleViolation(
             "vector_equivalence", scenario,
-            f"scalar and vectorized chunk replay diverged in {diffs}",
+            f"{label} and vectorized fused replay diverged in {diffs}",
         )
 
 

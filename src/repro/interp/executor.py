@@ -7,7 +7,11 @@ Walks a program's statement tree against a :class:`Machine`:
   (releases), clamped to the target array's segment -- an address outside
   the array is a silent no-op, preserving the non-binding semantics;
 * leaf loops (flat bodies of work + single-page hints) take the
-  vectorized path in :mod:`repro.interp.lower`.
+  vectorized path in :mod:`repro.interp.lower`;
+* with no per-unit consumer attached (no checkpointer, no observer), a
+  whole loop nest without ``If`` is lowered into one chunk (or a few,
+  batched by outer iteration under :data:`~repro.interp.lower.CHUNK_CELLS`)
+  whose replay is bit-identical to running it leaf by leaf.
 
 The same interpreter runs both the original and the transformed program:
 the original simply contains no hints.
@@ -24,7 +28,9 @@ touching the machine until the unit cursor passes the snapshot's
 cursor, then execution goes live.  This is sound because control flow
 depends only on ``env``/params, never on machine state.  When no
 checkpointer is attached the instrumentation is two integer compares
-per unit, and the simulated run is bit-identical either way.
+per unit, and the simulated run is bit-identical either way.  A fused
+nest advances the cursor by every unit it stands for, so ``units`` is
+the same whichever way a run was lowered.
 """
 
 from __future__ import annotations
@@ -33,7 +39,10 @@ import numpy as np
 
 from repro.core.ir.nodes import Hint, HintKind, If, Loop, Program, Stmt, Work
 from repro.errors import AddressError, ExecutionError
-from repro.interp.lower import LeafRecipe, analyze_leaf, lower_leaf
+from repro.interp.lower import (
+    CHUNK_CELLS, FUSE_CELLS_PER_UNIT, Layout, LoopPlan, lower_leaf, nest_size,
+    plan_loop,
+)
 from repro.machine.machine import Machine
 from repro.sim.stats import RunStats
 
@@ -54,7 +63,10 @@ class Executor:
         self.vectorize = vectorize
         self._segments: dict[str, tuple[int, int]] = {}
         self._strides: dict[str, tuple[int, ...]] = {}
-        self._leaf_cache: dict[int, LeafRecipe | None] = {}
+        self._layout: Layout | None = None
+        self._plans: dict[int, LoopPlan | None] = {}
+        #: Lower whole nests (set per run: nothing observes units).
+        self._fuse = False
         #: Hints whose addresses fell outside their array (dropped no-ops).
         self.out_of_range_hints = 0
         #: Executed-unit cursor (work stmts, hints, leaf chunks).
@@ -79,6 +91,10 @@ class Executor:
             self._strides[arr.name] = arr.strides_elems(params)
             if self.warm_start:
                 self.machine.warm_load_segment(seg)
+        self._layout = Layout(
+            self.machine.config.page_size, self._segments, self._strides,
+            params, hints=self.machine.runtime is not None,
+        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -92,6 +108,10 @@ class Executor:
             # then skip-replay to its cursor inside _exec_body below.
             hook, self._resume_hook = self._resume_hook, None
             hook(self)
+        # Fuse nests only when nothing consumes individual units: a
+        # checkpointer needs each safe point, an observer each chunk.
+        self._fuse = (self.vectorize and self.checkpointer is None
+                      and self.machine.obs is None and self._skip_until == 0)
         env = dict(program.params)
         obs = self.machine.obs
         if obs is not None:
@@ -156,43 +176,66 @@ class Executor:
         upper = loop.upper.eval(env)
         if upper <= lower:
             return
+        plan = None
         if self.vectorize:
-            recipe = self._leaf_cache.get(loop.loop_id, False)
-            if recipe is False:  # not analyzed yet
-                recipe = analyze_leaf(loop)
-                self._leaf_cache[loop.loop_id] = recipe
-        else:
-            recipe = None
-        if recipe is not None:
+            plan = plan_loop(loop, self._layout, self._plans)
+        if plan is not None and plan.leaf is None and self._fuse:
+            values = np.arange(lower, upper, loop.step, dtype=np.int64)
+            if self._run_nest(plan, env, values):
+                return
+        if plan is not None and plan.leaf is not None:
             # Either leaf form is one unit; skip mode never lowers it.
             if self.units < self._skip_until:
                 self.units += 1
                 return
-            if not recipe.templates:
+            if not plan.leaf.templates:
                 # Pure compute: charge the whole loop in one step.
                 iters = -(-(upper - lower) // loop.step)
-                self.machine.compute(iters * recipe.iter_cost)
+                self.machine.compute(iters * plan.leaf.iter_cost)
                 self._unit_done()
                 return
             values = np.arange(lower, upper, loop.step, dtype=np.int64)
-            kinds, pages, costs, tail_cost = lower_leaf(
-                recipe,
-                loop.var,
-                values,
-                env,
-                self.machine.config.page_size,
-                self._segments,
-                self._strides,
-            )
-            self.machine.run_chunk(kinds, pages, costs)
-            if tail_cost:
-                self.machine.compute(tail_cost)
+            chunk = lower_leaf(plan, env, values, self._layout)
+            self.machine.run_chunk(chunk.kinds, chunk.pages, chunk.costs)
+            if chunk.tail:
+                self.machine.compute(chunk.tail)
             self._unit_done()
             return
         for value in range(lower, upper, loop.step):
             env[loop.var] = value
             self._exec_body(loop.body, env)
         del env[loop.var]
+
+    def _run_nest(self, plan: LoopPlan, env: dict, values: np.ndarray) -> bool:
+        """Run a whole nest as chunks of outer iterations; False (nothing
+        run) if its units are too large to gain from fusing.
+
+        Batches are cut by :data:`CHUNK_CELLS`; an outer iteration over
+        the budget on its own runs statement by statement instead, which
+        fuses the nests inside it.
+        """
+        cells, units = nest_size(plan, env, values)
+        if int(cells.sum()) > FUSE_CELLS_PER_UNIT * int(units.sum()):
+            return False
+        machine = self.machine
+        layout = self._layout
+        budget = np.cumsum(cells)
+        start = 0
+        while start < len(values):
+            used = int(budget[start - 1]) if start else 0
+            stop = int(np.searchsorted(budget, used + CHUNK_CELLS, side="right"))
+            if stop <= start:
+                env[plan.loop.var] = int(values[start])
+                self._exec_body(plan.loop.body, env)
+                del env[plan.loop.var]
+                start += 1
+                continue
+            chunk = lower_leaf(plan, env, values[start:stop], layout)
+            machine.run_chunk(chunk.kinds, chunk.pages, chunk.costs, chunk.calls)
+            self.units += chunk.units
+            self.out_of_range_hints += chunk.dropped
+            start = stop
+        return True
 
     # ------------------------------------------------------------------
     # Addresses and hints
@@ -239,39 +282,25 @@ class Executor:
         machine = self.machine
         if machine.runtime is None:
             return  # non-prefetching run: hints are dead code
-        pf_start = pf_n = 0
+        pf_start = pf_n = r_start = r_n = 0
         if hint.target is not None:
             npages = max(0, hint.npages.eval(env))
             pf_start, pf_n = self._hint_pages(
                 hint.target.array, hint.target.indices, npages, env
             )
-        rel_pages: list[int] = []
         if hint.release_target is not None:
             rn = max(0, hint.release_npages.eval(env))
             r_start, r_n = self._hint_pages(
                 hint.release_target.array, hint.release_target.indices, rn, env
             )
-            rel_pages = list(range(r_start, r_start + r_n))
-
         if hint.kind is HintKind.PREFETCH:
-            if pf_n:
-                machine.prefetch(pf_start, pf_n)
-            else:
-                self.out_of_range_hints += 1
+            r_n = 0
         elif hint.kind is HintKind.RELEASE:
-            if rel_pages:
-                machine.release(rel_pages)
-            else:
-                self.out_of_range_hints += 1
-        else:  # PREFETCH_RELEASE
-            if pf_n and rel_pages:
-                machine.prefetch_release(pf_start, pf_n, rel_pages)
-            elif pf_n:
-                machine.prefetch(pf_start, pf_n)
-            elif rel_pages:
-                machine.release(rel_pages)
-            else:
-                self.out_of_range_hints += 1
+            pf_n = 0
+        if pf_n or r_n:
+            machine.hint(pf_start, pf_n, r_start, r_n)
+        else:
+            self.out_of_range_hints += 1
 
 
 def run_program(

@@ -22,6 +22,7 @@ import numpy as np
 from repro.config import PlatformConfig
 from repro.errors import MachineError
 from repro.faults.inject import FaultInjector, LaggedBitVector
+from repro.machine.events import COMPUTE, HINT
 from repro.obs.trace import TraceKind
 from repro.runtime.layer import RuntimeLayer
 from repro.sim.clock import Clock, TimeCategory
@@ -153,6 +154,20 @@ class Machine:
         if self.runtime is not None:
             self.runtime.prefetch_release(start_vpage, npages, release_vpages)
 
+    def hint(self, pf_start: int, pf_n: int, r_start: int, r_n: int) -> None:
+        """One block or bundled hint, already clamped to its segments.
+
+        Prefetches ``pf_n`` pages from ``pf_start`` and releases ``r_n``
+        pages from ``r_start`` through the one call that covers both.
+        """
+        if pf_n and r_n:
+            self.prefetch_release(pf_start, pf_n,
+                                  list(range(r_start, r_start + r_n)))
+        elif pf_n:
+            self.prefetch(pf_start, pf_n)
+        elif r_n:
+            self.release(list(range(r_start, r_start + r_n)))
+
     # ------------------------------------------------------------------
     # Bulk execution (the hot loop)
     # ------------------------------------------------------------------
@@ -166,15 +181,18 @@ class Machine:
     #: numpy setup cost, so tiny chunks stay on the reference path.
     _SCALAR_CUTOFF = 128
 
-    def run_chunk(self, kinds, pages, costs) -> None:
+    def run_chunk(self, kinds, pages, costs, calls=None) -> None:
         """Replay one lowered event chunk.
 
         ``kinds``/``pages``/``costs`` are parallel sequences (lists or
         numpy arrays); ``costs[i]`` is the user compute time to charge
-        *before* event ``i``.  READ/WRITE events with a resident page and
-        PREFETCH events dropped by the filter are handled inline;
-        everything else flushes the locally accumulated time and goes
-        through the full path.
+        *before* page event ``i``.  READ/WRITE events with a resident
+        page and PREFETCH events dropped by the filter are handled
+        inline; everything else flushes the locally accumulated time and
+        goes through the full path.  Call events (see
+        :mod:`repro.machine.events`) flush too, then make their call: a
+        COMPUTE event charges its ``costs[i]``, and the ``j``-th HINT
+        event issues ``hint(*calls[j])``.
 
         Two implementations replay a chunk, bit-identically (see
         docs/performance.md for the equivalence argument):
@@ -190,6 +208,9 @@ class Machine:
         """
         if not (len(kinds) == len(pages) == len(costs)):
             raise MachineError("run_chunk requires parallel lists of equal length")
+        # Only a fused nest's chunk carries call events (and ``calls``).
+        dense = calls is not None and self._call_dense(kinds)
+        calls = [] if calls is None else np.asarray(calls, dtype=np.int64).tolist()
         runtime = self.runtime
         obs = self.obs
         if obs is not None:
@@ -202,6 +223,7 @@ class Machine:
         if (
             self.scalar_chunks
             or len(kinds) < self._SCALAR_CUTOFF
+            or dense
             or obs is not None
             or self.injector is not None
             or self.manager.binding
@@ -212,11 +234,17 @@ class Machine:
                 kinds = kinds.tolist()
                 pages = pages.tolist()
                 costs = costs.tolist()
-            self._run_chunk_scalar(kinds, pages, costs)
+            self._run_chunk_scalar(kinds, pages, costs, calls)
         else:
-            self._run_chunk_vector(kinds, pages, costs)
+            self._run_chunk_vector(kinds, pages, costs, calls)
 
-    def _run_chunk_scalar(self, kinds: list, pages: list, costs: list) -> None:
+    def _call_dense(self, kinds) -> bool:
+        """More than one call event in 16: every call is a slow dispatch,
+        which the scalar loop makes cheaper than per-segment numpy work."""
+        return int(np.count_nonzero(np.asarray(kinds) > 3)) * 16 > len(kinds)
+
+    def _run_chunk_scalar(self, kinds: list, pages: list, costs: list,
+                          calls: list) -> None:
         """The reference event loop (one Python iteration per event)."""
         clock = self.clock
         manager = self.manager
@@ -248,6 +276,7 @@ class Machine:
         hits = 0
         filtered = 0
         inserted = 0
+        next_call = 0
         # Binding instrumentation must observe every access.
         fast_access_ok = not manager.binding
 
@@ -261,8 +290,19 @@ class Machine:
                 pending_overhead = 0.0
 
         for i in range(len(kinds)):
-            pending_compute += costs[i]
             kind = kinds[i]
+            if kind > 3:  # call event: flush as a chunk end does, then call
+                if kind == COMPUTE:
+                    flush_time()
+                    clock.advance(costs[i], TimeCategory.USER_COMPUTE)
+                elif kind == HINT:
+                    flush_time()
+                    self.hint(*calls[next_call])
+                    next_call += 1
+                else:
+                    raise MachineError(f"unknown event kind {kind}")
+                continue
+            pending_compute += costs[i]
             vpage = pages[i]
             if kind <= 1:  # READ or WRITE
                 page = page_map.get(vpage)
@@ -298,13 +338,11 @@ class Machine:
                     # counting, charging, and the suppression state.
                     flush_time()
                     runtime.prefetch(vpage, 1)
-            elif kind == 3:  # single-page RELEASE
+            else:  # single-page RELEASE
                 if runtime is None:
                     continue
                 flush_time()
                 runtime.release([vpage])
-            else:
-                raise MachineError(f"unknown event kind {kind}")
 
         flush_time()
         self.stats.faults.hits += hits
@@ -320,7 +358,7 @@ class Machine:
                 seq.append(seq[-1] + step)
         return seq[k]
 
-    def _run_chunk_vector(self, kinds, pages, costs) -> None:
+    def _run_chunk_vector(self, kinds, pages, costs, calls: list) -> None:
         """The numpy chunk kernel.
 
         Classifies events in windows against the manager's fast-page mask
@@ -333,7 +371,7 @@ class Machine:
         counts.  Surviving candidates are re-checked lazily (an O(1)
         flag test at dispatch time); if a slow call dropped any fast
         flag or filter bit (``drops`` counters), the rest of the window
-        is reclassified.
+        is reclassified.  Call events are always slow.
         """
         kinds_a = np.asarray(kinds, dtype=np.int64)
         pages_a = np.asarray(pages, dtype=np.int64)
@@ -362,7 +400,7 @@ class Machine:
             granularity = bitvec.granularity
         kmax = int(kinds_a.max())
         all_access = kmax <= 1
-        has_bad = kmax > 3
+        is_nop = None
         if all_access:
             is_access = is_pf = None
             has_write = bool(kinds_a.any())
@@ -372,6 +410,10 @@ class Machine:
             is_pf = kinds_a == 2
             is_write = kinds_a == 1
             has_write = bool(is_write.any())
+            if runtime is None:
+                # Without a run-time layer single-page hints are no-ops
+                # (always fast); call events stay slow.
+                is_nop = is_pf | (kinds_a == 3)
         cols = manager.cols
         cols.ensure(maxp)
 
@@ -382,10 +424,7 @@ class Machine:
             if not all_access:
                 f &= is_access[a:b]
                 if runtime is None:
-                    hint = ~is_access[a:b]
-                    if has_bad:
-                        hint &= kinds_a[a:b] <= 3
-                    f |= hint
+                    f |= is_nop[a:b]
                 else:
                     idx = pg if granularity == 1 else pg // granularity
                     f |= is_pf[a:b] & (bitvec.raw[idx] != 0)
@@ -406,10 +445,7 @@ class Machine:
             if not all_access:
                 f &= ka <= 1
                 if runtime is None:
-                    hint = ka > 1
-                    if has_bad:
-                        hint &= ka <= 3
-                    f |= hint
+                    f |= (ka == 2) | (ka == 3)
                 else:
                     idx = pg if granularity == 1 else pg // granularity
                     f |= (ka == 2) & (bitvec.raw[idx] != 0)
@@ -461,6 +497,7 @@ class Machine:
         hits = 0
         filtered = 0
         inserted = 0
+        next_call = 0
         window = self._WINDOW
         pos = 0        # next unprocessed event
         seg_start = 0  # first event since the last time flush
@@ -491,7 +528,7 @@ class Machine:
                     hits += int(np.count_nonzero(is_access[seg_start:sp]))
                     seg_pf = (int(np.count_nonzero(is_pf[seg_start:sp]))
                               if runtime is not None else 0)
-                if kind > 3:
+                if kind > HINT:
                     # Match the scalar loop: die with locally accumulated
                     # time unflushed and counters uncommitted, but with
                     # every processed event's page effects applied.
@@ -499,7 +536,10 @@ class Machine:
                     raise MachineError(f"unknown event kind {kind}")
                 filtered += seg_pf
                 inserted += seg_pf
-                pending_compute = float(costs_a[seg_start:sp + 1].cumsum()[-1])
+                # A call event's own cost is not pre-event compute.
+                end = sp + 1 if kind <= 3 else sp
+                pending_compute = (float(costs_a[seg_start:end].cumsum()[-1])
+                                   if end > seg_start else 0.0)
                 if kind == 2:
                     inserted += 1
                     seg_pf += 1
@@ -517,10 +557,19 @@ class Machine:
                 elif kind == 2:
                     # Filter bit known clear; counted and charged above.
                     manager.prefetch_call(vpage, 1)
-                else:
+                elif kind == 3:
                     runtime.release([vpage])
+                elif kind == COMPUTE:
+                    clock.advance(float(costs_a[sp]), compute_cat)
+                else:
+                    self.hint(*calls[next_call])
+                    next_call += 1
                 pos = sp + 1
                 seg_start = pos
+                if kind == COMPUTE:
+                    # Only the clock moved: the classification holds.
+                    cand, pg_c, ka_c = cand[1:], pg_c[1:], ka_c[1:]
+                    continue
                 slow_done += 1
                 if slow_done >= 256 and pos < slow_done * 16:
                     # Slow-dense chunk: per-event Python dispatch is
@@ -547,6 +596,7 @@ class Machine:
                     kinds_a[pos:].tolist(),
                     pages_a[pos:].tolist(),
                     costs_a[pos:].tolist(),
+                    calls[next_call:],
                 )
                 return
             pos = wend

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.ir.nodes import Hint, HintKind, If, Loop, Program, Stmt, Work
 from repro.errors import AddressError, ExecutionError
-from repro.interp.lower import analyze_leaf, lower_leaf
+from repro.interp.lower import Layout, lower_leaf, plan_loop
 from repro.vm.page_table import AddressSpace
 
 
@@ -53,7 +53,7 @@ class ProcessStream:
         self.name = name
         self._segments: dict[str, tuple[int, int]] = {}
         self._strides: dict[str, tuple[int, ...]] = {}
-        self._leaf_cache: dict[int, object] = {}
+        self._plans: dict[int, object] = {}
         params = program.params
         for arr in program.arrays:
             seg_name = f"{name}:{arr.name}"
@@ -62,6 +62,7 @@ class ProcessStream:
             arr.base = seg.base
             self._segments[arr.name] = (seg.base, arr.nbytes(params))
             self._strides[arr.name] = arr.strides_elems(params)
+        self._layout = Layout(page_size, self._segments, self._strides, params)
 
     # ------------------------------------------------------------------
 
@@ -93,27 +94,21 @@ class ProcessStream:
         upper = loop.upper.eval(env)
         if upper <= lower:
             return
-        recipe = self._leaf_cache.get(loop.loop_id, False)
-        if recipe is False:
-            recipe = analyze_leaf(loop)
-            self._leaf_cache[loop.loop_id] = recipe
-        if recipe is not None:
-            if not recipe.templates:
+        plan = plan_loop(loop, self._layout, self._plans)
+        if plan is not None and plan.leaf is not None:
+            if not plan.leaf.templates:
                 iters = -(-(upper - lower) // loop.step)
-                yield ("compute", iters * recipe.iter_cost)
+                yield ("compute", iters * plan.leaf.iter_cost)
                 return
             values = np.arange(lower, upper, loop.step, dtype=np.int64)
-            kinds, pages, costs, tail = lower_leaf(
-                recipe, loop.var, values, env, self.page_size,
-                self._segments, self._strides,
-            )
-            kinds = kinds.tolist()
-            pages = pages.tolist()
-            costs = costs.tolist()
+            chunk = lower_leaf(plan, env, values, self._layout)
+            kinds = chunk.kinds.tolist()
+            pages = chunk.pages.tolist()
+            costs = chunk.costs.tolist()
             for k in range(len(kinds)):
                 yield ("event", kinds[k], pages[k], costs[k])
-            if tail:
-                yield ("compute", tail)
+            if chunk.tail:
+                yield ("compute", chunk.tail)
             return
         for value in range(lower, upper, loop.step):
             env[loop.var] = value

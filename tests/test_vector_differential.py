@@ -10,6 +10,12 @@ kernel (the default) and once through the scalar loop
 environment hatch selects), and everything observable must match
 exactly.
 
+A second leg pins nest lowering the same way: with nothing attached
+that consumes units, the executor lowers whole loop nests into single
+chunks, and the result must equal the per-unit (leaf-by-leaf) run that a
+checkpointer forces -- here one that never writes -- for every app under
+O, P, P-nofilter, P-adaptive and a seeded fault plan.
+
 A hypothesis property additionally pins the classification primitive
 itself: for arbitrary flag vectors and page-number arrays,
 :meth:`repro.vm.residency.PageFlagVector.take` must agree with the
@@ -25,9 +31,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.registry import ALL_APPS, get_app
+from repro.checkpoint.runner import CheckpointConfig, Checkpointer
 from repro.config import PlatformConfig
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
+from repro.faults.plan import default_plan
 from repro.interp.executor import Executor
 from repro.machine.machine import Machine
 from repro.vm.residency import PageFlagVector
@@ -98,6 +106,59 @@ def test_vector_kernel_is_bit_identical(app_name, variant):
     vec_metrics = vec_stats.publish().as_dict()
     sca_metrics = sca_stats.publish().as_dict()
     assert vec_metrics == sca_metrics
+
+
+#: Machine switches of each per-unit differential variant.
+UNIT_VARIANTS = {
+    "O": {"prefetching": False},
+    "P": {"prefetching": True},
+    "nofilter": {"prefetching": True, "runtime_filter": False},
+    "adaptive": {"prefetching": True, "adaptive_prefetch": True},
+    "faulted": {"prefetching": True, "fault_plan": "default"},
+}
+
+
+def _run_units(app_name: str, variant: str, per_unit: bool):
+    """One fresh run, fused (no unit consumer) or per unit."""
+    platform = PlatformConfig(memory_pages=MEMORY_PAGES)
+    program = get_app(app_name).make(DATA_PAGES, seed=1)
+    switches = dict(UNIT_VARIANTS[variant])
+    if switches["prefetching"]:
+        program = insert_prefetches(
+            program, CompilerOptions.from_platform(platform)
+        ).program
+    if switches.get("fault_plan") == "default":
+        switches["fault_plan"] = default_plan(platform.num_disks, seed=2)
+    machine = Machine(platform, **switches)
+    executor = Executor(machine)
+    if per_unit:
+        executor.checkpointer = Checkpointer(machine, executor,
+                                             CheckpointConfig())
+    chunks = []
+    replay = machine.run_chunk
+
+    def counting(kinds, *args):
+        chunks.append(len(kinds))
+        replay(kinds, *args)
+
+    machine.run_chunk = counting
+    stats = executor.run(program)
+    return stats, machine, executor, len(chunks)
+
+
+@pytest.mark.parametrize("variant", sorted(UNIT_VARIANTS))
+@pytest.mark.parametrize("app_name", APP_NAMES)
+def test_fused_nests_equal_per_unit_replay(app_name, variant):
+    fused, fused_machine, fused_ex, fused_chunks = _run_units(
+        app_name, variant, per_unit=False)
+    unit, unit_machine, unit_ex, unit_chunks = _run_units(
+        app_name, variant, per_unit=True)
+    assert fused == unit
+    assert _page_table(fused_machine) == _page_table(unit_machine)
+    assert fused.publish().as_dict() == unit.publish().as_dict()
+    assert fused_ex.units == unit_ex.units
+    assert fused_ex.out_of_range_hints == unit_ex.out_of_range_hints
+    assert fused_chunks <= unit_chunks
 
 
 def test_scalar_env_hatch_forces_scalar_loop(monkeypatch):
