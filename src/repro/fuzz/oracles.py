@@ -30,7 +30,9 @@ the machine / checkpoint / multiprog layers, and raises
     bit-identical ``RunStats``, and so does the vectorized replay unit
     by unit (leaf by leaf, as with a checkpointer attached) instead of
     whole fused loop nests, with the same unit cursor and dropped-hint
-    count.
+    count.  Under a metrics-only observer the vectorized kernel (which
+    then charges every prefetch as the run-time layer does) and the
+    scalar loop agree the same way, observer registry included.
 ``chaos_termination``
     A run under a composed fault plan (slow disks, dead disks, read
     errors, hint failures, pressure storms, stale bit vectors, crashes)
@@ -297,14 +299,21 @@ def check_vector_equivalence(scenario: Scenario) -> None:
     runs = {}
     # Scalar and vectorized chunk replay of the fused nests, then the
     # vectorized replay unit by unit (a checkpointer that never writes
-    # keeps every leaf its own chunk).
-    for label, scalar, per_unit in (("scalar", True, False),
-                                    ("vectorized", False, False),
-                                    ("per-unit", False, True)):
+    # keeps every leaf its own chunk), then scalar and vectorized replay
+    # under a metrics-only observer.
+    for label, scalar, per_unit, observed in (
+        ("scalar", True, False, False),
+        ("vectorized", False, False, False),
+        ("per-unit", False, True, False),
+        ("observed scalar", True, False, True),
+        ("observed vectorized", False, False, True),
+    ):
         compiled = insert_prefetches(
             scenario.program.build(), CompilerOptions.from_platform(platform)
         ).program
-        machine = Machine(platform, prefetching=True, scalar_chunks=scalar)
+        observer = Observer(capacity=None) if observed else None
+        machine = Machine(platform, prefetching=True, scalar_chunks=scalar,
+                          observer=observer)
         executor = Executor(machine)
         if per_unit:
             executor.checkpointer = Checkpointer(machine, executor,
@@ -312,18 +321,24 @@ def check_vector_equivalence(scenario: Scenario) -> None:
         RUNS.count += 1
         stats = executor.run(compiled)
         runs[label] = (dataclasses.asdict(stats), executor.units,
-                       executor.out_of_range_hints)
-    reference = runs["vectorized"]
-    for label in ("scalar", "per-unit"):
-        got = runs[label]
+                       executor.out_of_range_hints,
+                       observer.metrics.as_dict() if observed else None)
+    # An observed run charges prefetches per request, so it is held to
+    # the observed scalar loop, not to the unobserved runs.
+    for label, ref_label in (("scalar", "vectorized"),
+                             ("per-unit", "vectorized"),
+                             ("observed vectorized", "observed scalar")):
+        reference, got = runs[ref_label], runs[label]
         if got == reference:
             continue
         diffs = [key for key in reference[0] if reference[0][key] != got[0][key]]
-        if got[1:] != reference[1:]:
+        if got[1:3] != reference[1:3]:
             diffs.append("units/out_of_range_hints")
+        if got[3] != reference[3]:
+            diffs.append("observer registry")
         raise OracleViolation(
             "vector_equivalence", scenario,
-            f"{label} and vectorized fused replay diverged in {diffs}",
+            f"{label} and {ref_label} replay diverged in {diffs}",
         )
 
 

@@ -7,9 +7,10 @@ combinations are *meaningful*, not just valid:
 
 * ``filter_soundness`` scenarios only get exact bit vectors (lag 0,
   granularity 1) -- a stale or coarse bit is allowed to be wrong;
-* ``vector_equivalence`` scenarios run clean and unobserved, because an
-  observer or injector forces the scalar path and the comparison would
-  be vacuous;
+* ``vector_equivalence`` scenarios run clean, because an injector
+  forces the scalar path and the comparison would be vacuous (the
+  oracle attaches its own metrics-only observer, which the vectorized
+  kernel serves, for its observed leg);
 * ``checkpoint_equivalence`` scenarios put process deaths in the
   checkpoint spec (fractions of the run), not the fault plan, so the
   uninterrupted control run stays uninterrupted;
@@ -372,8 +373,8 @@ def scenarios(draw, family: str) -> Scenario:
                         fault_plan=plan,
                         checkpoint=draw(checkpoint_schedules()))
     if family == "vector_equivalence":
-        # Clean and unobserved, or the machine forces the scalar path
-        # and the differential collapses.
+        # Clean, or the machine forces the scalar path and the
+        # differential collapses.
         return Scenario(program=program, platform=platform,
                         oracles=("vector_equivalence",))
     if family == "chaos_termination":

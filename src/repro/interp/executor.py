@@ -199,6 +199,7 @@ class Executor:
             self.machine.run_chunk(chunk.kinds, chunk.pages, chunk.costs)
             if chunk.tail:
                 self.machine.compute(chunk.tail)
+            self.out_of_range_hints += chunk.dropped
             self._unit_done()
             return
         for value in range(lower, upper, loop.step):

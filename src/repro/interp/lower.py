@@ -326,6 +326,10 @@ class LoopPlan:
     #: positions in ``affine`` of the bounds-checked (access) columns.
     coef: np.ndarray = field(default_factory=lambda: _EMPTY_I)
     checked: list = field(default_factory=list)
+    #: (column, first page, last page) of each single-page hint column
+    #: of a run with a run-time layer: a hint outside its array is
+    #: dropped (see :func:`_drop_hints`).
+    hinted: list = field(default_factory=list)
 
 
 @dataclass(slots=True, eq=False)
@@ -399,9 +403,14 @@ def _compile_leaf(plan: LoopPlan, layout: Layout) -> None:
     plan.generic_vars = frozenset().union(
         *(ix.free_vars() for c in plan.generic for ix in templates[c].indices))
     plan.coef = np.array([plan.addrs[c].coeff(var) for c in affine], dtype=np.int64)
-    # Affine columns whose accesses are bounds-checked (hints are not:
-    # their clamped addresses stay in range by construction).
+    # Affine columns whose accesses are bounds-checked.  A hint is
+    # non-binding instead: one that falls outside its array is dropped.
     plan.checked = [k for k, c in enumerate(affine) if templates[c].kind <= WRITE]
+    if layout.hints:
+        plan.hinted = [
+            (c, layout.pages(a.base), layout.pages(a.base + a.nbytes - 1))
+            for c, a in enumerate(plan.addrs) if templates[c].kind > WRITE
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -441,9 +450,9 @@ def lower_leaf(plan: LoopPlan, env: dict, values: np.ndarray,
             return Chunk(_EMPTY_I, _EMPTY_I, _EMPTY_F, None,
                          len(values) * plan.leaf.iter_cost,
                          int(len(values) > 0), 0)
-        kinds, pages, costs, _, tails = _leaf_events(
+        kinds, pages, costs, _, tails, dropped = _leaf_events(
             plan, env, {}, values, np.array([len(values)]), layout)
-        return Chunk(kinds, pages, costs, None, float(tails[0]), 1, 0)
+        return Chunk(kinds, pages, costs, None, float(tails[0]), 1, dropped)
     out = _Out()
     counts, place = _lower_loop(plan, env, {}, 1, out, layout, values)
     total = int(counts[0])
@@ -685,9 +694,10 @@ def _lower_loop(plan: LoopPlan, env, rvars: dict, n: int, out: _Out,
         return counts, place
 
     runs = trips[ran]
-    kinds, pages, costs, groups, tails = _leaf_events(
+    kinds, pages, costs, groups, tails, dropped = _leaf_events(
         plan, env, {name: a[ran] for name, a in rvars.items()}, values, runs,
         layout)
+    out.dropped += dropped
     counts[ran] += groups
     first = np.cumsum(groups) - groups
 
@@ -742,7 +752,8 @@ def _leaf_events(plan: LoopPlan, env, rvars: dict, values: np.ndarray,
     after execution (``runs`` iterations each, all non-zero); ``rvars``
     binds the enclosing nest variables per execution.  Returns the
     merged ``(kinds, pages, costs)`` of all executions back to back,
-    the number of events of each, and each one's tail compute.
+    the number of events of each, each one's tail compute, and the
+    number of hints dropped for falling outside their arrays.
     """
     var = plan.loop.var
     templates = plan.leaf.templates
@@ -817,6 +828,8 @@ def _leaf_events(plan: LoopPlan, env, rvars: dict, values: np.ndarray,
             else:
                 pages[:, c] = layout.pages(addr)
 
+    gone = _stray_hints(plan, pages, runs)
+
     flat_kinds, flat_costs, acc_and_prev, is_write, write_csum = \
         _leaf_columns(plan, n)
     flat_pages = pages.reshape(-1)
@@ -840,8 +853,9 @@ def _leaf_events(plan: LoopPlan, env, rvars: dict, values: np.ndarray,
         # cached kinds/costs arrays are returned directly -- every
         # consumer treats them as read-only -- and every run's
         # remainder is zero, so there are no tails.
-        return (flat_kinds, flat_pages, flat_costs, runs * ncols,
-                np.zeros(nexec, dtype=np.float64))
+        events = (flat_kinds, flat_pages, flat_costs, runs * ncols,
+                  np.zeros(nexec, dtype=np.float64))
+        return _drop_hints(*events, gone) if gone is not None else events + (0,)
 
     group_pages = flat_pages[starts]
     # A merged run's kind: WRITE if the run contains any write, else the
@@ -874,4 +888,65 @@ def _leaf_events(plan: LoopPlan, env, rvars: dict, values: np.ndarray,
         remainders[last] = 0.0
     costs = first_costs
     costs[1:] += remainders[:-1]
-    return group_kinds, group_pages, costs, groups, tails
+    events = (group_kinds, group_pages, costs, groups, tails)
+    if gone is None:
+        return events + (0,)
+    # A hint never merges, so each stray hint starts a run of its own.
+    return _drop_hints(*events, gone[starts])
+
+
+def _stray_hints(plan: LoopPlan, pages: np.ndarray,
+                 runs: np.ndarray) -> np.ndarray | None:
+    """Flat mask of the hint cells whose page lies outside their array,
+    or None when every hint is in range (the usual case).
+
+    An affine column is monotone within an execution, so its first and
+    last rows bound it; other columns take a min/max.
+    """
+    if not plan.hinted:
+        return None
+    gone = None
+    ends = np.cumsum(runs)
+    rows = np.concatenate((ends - runs, ends - 1))
+    for c, first, last in plan.hinted:
+        column = pages[:, c]
+        probe = column[rows] if c in plan.affine else column
+        if probe.min() >= first and probe.max() <= last:
+            continue
+        if gone is None:
+            gone = np.zeros(pages.shape, dtype=bool)
+        gone[:, c] = (column < first) | (column > last)
+    return None if gone is None else gone.reshape(-1)
+
+
+def _drop_hints(kinds, pages, costs, groups, tails, gone):
+    """Remove the ``gone`` hint events, as the tree-walking executor
+    drops a hint that falls outside its array.
+
+    A dropped event's compute moves to the next surviving event of its
+    execution, or to the execution's tail when none survives; each
+    such run is summed by itself, so the bits do not depend on where
+    the execution sits in the chunk.  Returns the surviving events,
+    the new per-execution counts and tails, and the dropped count.
+    """
+    nevents = len(kinds)
+    exec_of = np.repeat(np.arange(len(groups)), groups)
+    ends = np.repeat(np.cumsum(groups), groups)
+    keep = ~gone
+    # The event each one's compute moves to: itself if kept, else the
+    # next kept event of its execution, else (the tail) its execution's
+    # last event, which is then a dropped one.
+    owner = np.where(keep, np.arange(nevents), nevents)
+    owner = np.minimum.accumulate(owner[::-1])[::-1]
+    owner = np.where(owner < ends, owner, ends - 1)
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    sums = np.add.reduceat(costs, first)
+    owners = owner[first]
+    to_event = keep[owners]
+    costs = costs.copy()
+    costs[owners[to_event]] = sums[to_event]
+    tails = tails.copy()
+    tails[exec_of[owners[~to_event]]] += sums[~to_event]
+    groups = groups - np.bincount(exec_of[gone], minlength=len(groups))
+    return (kinds[keep], pages[keep], costs[keep], groups, tails,
+            int(np.count_nonzero(gone)))

@@ -52,10 +52,12 @@ class Observer:
 
     ``capacity`` sizes the ring; ``None`` builds a metrics-only observer
     whose ``trace`` is ``None``.  Every metric and every sink callback
-    is the same in both tiers -- only the recorded events differ.
-    Measured on the demo farm batch's run/compare jobs with
-    checkpoints: no observer 0.70 s, metrics-only 2.2 s, ringed 3.8 s
-    (docs/observability.md, *Overhead*).
+    is the same in both tiers -- only the recorded events differ.  An
+    observer that records no events (:attr:`records_events` false) lets
+    the machine keep its vectorized chunk kernel; one that does forces
+    the scalar loop.  Measured on the demo farm batch's run/compare jobs
+    with checkpoints: no observer 0.68 s, metrics-only 0.77 s, ringed
+    3.80 s (docs/observability.md, *Overhead*).
     """
 
     __slots__ = ("trace", "metrics", "stall_latency", "prefetch_to_use",
@@ -93,6 +95,16 @@ class Observer:
         self._context: list[str] = []
         #: Registered segments as (first_vpage, end_vpage, name) tuples.
         self._segments: list[tuple[int, int, str]] = []
+
+    @property
+    def records_events(self) -> bool:
+        """Whether :meth:`emit` reaches anything (a ring or a sink).
+
+        A metrics-only observer records no events, so the machine's
+        vectorized chunk kernel serves it; one that records events needs
+        every request replayed one at a time.
+        """
+        return self.trace is not None or self.sink is not None
 
     def emit(
         self,

@@ -84,13 +84,15 @@ class TelemetryConfig:
     """Everything the telemetry pipeline tunes.
 
     Enabled by default: aggregation rides the existing result channel
-    and costs one metrics-only observer per ``run``/``compare`` job --
-    about 1.6x the farm wall of telemetry off (the observer forces the
-    scalar chunk loop; docs/observability.md, *Farm telemetry*).
-    Per-job Chrome traces are the expensive part and stay opt-in via
-    ``trace_out`` (the merged farm timeline): requesting the timeline
-    gives every observer its event ring and records the per-job
-    segments the timeline is built from, about 5x telemetry off.
+    and costs one metrics-only observer per ``run``/``compare`` job,
+    which keeps the vectorized chunk kernel -- the demo batch's farm
+    wall is within noise of telemetry off (1.95 s against 1.94 s;
+    docs/observability.md, *Farm telemetry*).  Per-job Chrome traces
+    are the expensive part and stay opt-in via ``trace_out`` (the
+    merged farm timeline): requesting the timeline gives every observer
+    its event ring, which forces the scalar chunk loop, and records the
+    per-job segments the timeline is built from, about 4.6x telemetry
+    off.
     """
 
     enabled: bool = True

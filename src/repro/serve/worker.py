@@ -75,16 +75,17 @@ def execute_job(spec, job_dir: Path, resume: bool,
 
     ``observer`` attaches farm telemetry to ``run``/``compare`` jobs
     (live obs.* histograms, plus the per-job trace when it has a ring;
-    see :func:`job_observer`); ``sweep``/``chaos`` jobs run unobserved,
-    because an observer forces the scalar chunk loop.  That loop makes
-    an observed job ~3x slower than an unobserved one on the demo
-    batch; a ring adds another ~1.8x, as every checkpoint copies it
-    (docs/observability.md, *Overhead*).  The payload is computed from
-    a fresh ``RunStats.publish`` registry, and every count matches a
-    run without telemetry.  Float statistics may differ in their last
-    bits: an observer sends each prefetch through the run-time layer,
-    which charges per request where the inline filter batches the
-    charge (docs/observability.md, *Fidelity over wall-clock*).
+    see :func:`job_observer`); ``sweep``/``chaos`` jobs run unobserved.
+    A metrics-only observer keeps the vectorized chunk kernel: on the
+    demo batch an observed job costs ~1.1x an unobserved one, where a
+    ring, which forces the scalar chunk loop and is copied into every
+    checkpoint, costs ~5.5x (docs/observability.md, *Overhead*).  The
+    payload is computed from a fresh ``RunStats.publish`` registry, and
+    every count matches a run without telemetry.  Float statistics may
+    differ in their last bits: an observed run charges each prefetch
+    per request, as the run-time layer does, where the unobserved
+    inline filter batches the charge (docs/observability.md, *Fidelity
+    over wall-clock*).  Either observer tier gives the same bits.
     """
     from repro.checkpoint import CheckpointConfig
     from repro.faults.chaos import chaos_report_dict

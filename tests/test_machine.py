@@ -1,11 +1,12 @@
 """Tests for the Machine facade and its chunked execution hot path."""
 
+import numpy as np
 import pytest
 
 from repro.config import PlatformConfig
 from repro.errors import MachineError
 from repro.machine.events import PREFETCH, READ, RELEASE, WRITE
-from repro.machine.machine import Machine
+from repro.machine.machine import Machine, _segment_folds
 
 
 def small_machine(prefetching=True, runtime_filter=True, frames=16):
@@ -149,3 +150,22 @@ class TestRunChunk:
         # No stall: the access time equals issue + compute.
         assert m.clock.now == pytest.approx(issue_done + 100_000.0)
         assert m.stats.faults.prefetched_hit == 1
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+def test_segment_folds_equal_sequential_sums(ragged):
+    """Each fold equals summing its slice with ``+=`` from 0.0, both in
+    the one-matrix layout and in the one-at-a-time ragged fallback."""
+    rng = np.random.default_rng(11)
+    values = rng.random(3000) * 7.3
+    if ragged:  # one long slice, then many short ones
+        bounds = np.concatenate(([5], np.arange(2000, 3000, 2)))
+    else:  # slices of 1-11 values
+        bounds = np.concatenate(([0], np.cumsum(rng.integers(1, 12, 400))))
+    expected = []
+    for start, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        total = 0.0
+        for value in values[start:end].tolist():
+            total += value
+        expected.append(total)
+    assert _segment_folds(values, bounds).tolist() == expected

@@ -233,3 +233,58 @@ class TestUnboundVariable:
         executor = Executor(Machine(PLATFORM), vectorize=vectorize)
         with pytest.raises(ExecutionError, match="unbound variable 'q'"):
             executor.run(b.build())
+
+
+class TestStrayLeafHints:
+    """A single-page leaf hint outside its array is dropped and counted.
+
+    The tree-walking executor clamps every hint to its array, so a hint
+    wholly outside is a counted no-op; lowering must do the same rather
+    than prefetch a neighbouring array's page or one backed by nothing.
+    Dyadic costs keep every time sum exact, so all paths agree bit for
+    bit: tree-walker or vectorized, fused or per unit, scalar chunk loop
+    or vector kernel.
+    """
+
+    PLATFORM = dataclasses.replace(
+        PLATFORM, cost=dataclasses.replace(PLATFORM.cost, addr_gen_us=0.5))
+
+    @staticmethod
+    def _program(offset: int):
+        b = ProgramBuilder("stray")
+        b.array("y", (4096,))  # mapped first: the neighbour below x
+        x = b.array("x", (4096,))
+        b.append(loop("k", 0, 2, [
+            loop("i", 0, 512, [
+                Hint(HintKind.PREFETCH, AddrOf(x, (i + offset,)), npages=1),
+                work([read(x, i)], 1.0),
+            ]),
+        ]))
+        return b.build()
+
+    def _run(self, offset: int, vectorize: bool, per_unit: bool,
+             scalar: bool) -> dict:
+        machine = Machine(self.PLATFORM, scalar_chunks=scalar)
+        executor = Executor(machine, vectorize=vectorize)
+        if per_unit:
+            executor.checkpointer = Checkpointer(machine, executor,
+                                                 CheckpointConfig())
+        stats = executor.run(self._program(offset))
+        return {"stats": dataclasses.asdict(stats),
+                "pages": _page_table(machine),
+                "dropped": executor.out_of_range_hints}
+
+    @pytest.mark.parametrize("offset,dropped", [
+        (-3000, 2 * 512),  # every hint lands in the neighbouring array
+        (-300, 2 * 300),   # the first 300 of each execution fall below x
+        (5000, 2 * 512),   # every hint lands past the last mapped page
+    ])
+    def test_all_paths_agree(self, offset, dropped):
+        runs = [self._run(offset, vectorize, per_unit, scalar)
+                for vectorize in (True, False)
+                for per_unit in (False, True)
+                for scalar in (False, True)]
+        assert all(run == runs[0] for run in runs[1:])
+        assert runs[0]["dropped"] == dropped
+        inserted = runs[0]["stats"]["prefetch"]["compiler_inserted"]
+        assert inserted == 2 * 512 - dropped

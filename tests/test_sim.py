@@ -1,5 +1,6 @@
 """Tests for the simulated clock and the statistics containers."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MachineError
@@ -48,6 +49,27 @@ class TestClock:
         waited = clock.wait_until(20.0, TimeCategory.STALL_READ)
         assert waited == 0.0
         assert clock.now == 50.0
+
+    def test_advance_rows_equals_advance_per_element(self):
+        rng = np.random.default_rng(5)
+        durations = rng.random((200, 3)) * np.array([7.3, 0.4, 1.5])
+        durations[::7, 0] = 0.0  # zero addends, as clock.advance skips
+        cats = (TimeCategory.USER_COMPUTE, TimeCategory.USER_OVERHEAD,
+                TimeCategory.USER_OVERHEAD)
+        one, rows = Clock(), Clock()
+        one.advance(3.1, TimeCategory.SYS_FAULT)
+        rows.advance(3.1, TimeCategory.SYS_FAULT)
+        for row in durations.tolist():
+            for value, cat in zip(row, cats):
+                one.advance(value, cat)
+        rows.advance_rows(durations, cats)
+        assert rows.now == one.now
+        assert rows.breakdown() == one.breakdown()
+
+    def test_advance_rows_rejects_negative(self):
+        cats = (TimeCategory.USER_COMPUTE,)
+        with pytest.raises(MachineError):
+            Clock().advance_rows(np.array([[1.0], [-1.0]]), cats)
 
     def test_busy_vs_stall_partition(self):
         clock = Clock()

@@ -16,6 +16,12 @@ chunks, and the result must equal the per-unit (leaf-by-leaf) run that a
 checkpointer forces -- here one that never writes -- for every app under
 O, P, P-nofilter, P-adaptive and a seeded fault plan.
 
+A third leg pins observed runs: a metrics-only observer (the farm's
+telemetry) rides the vector kernel, which then charges every prefetch
+as the run-time layer does.  It must equal the same observer on the
+scalar loop, a ringed observer (which always takes the scalar loop) and
+a checkpointed metrics-only run, registry and all.
+
 A hypothesis property additionally pins the classification primitive
 itself: for arbitrary flag vectors and page-number arrays,
 :meth:`repro.vm.residency.PageFlagVector.take` must agree with the
@@ -31,13 +37,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.registry import ALL_APPS, get_app
-from repro.checkpoint.runner import CheckpointConfig, Checkpointer
+from repro.checkpoint.runner import (
+    CheckpointConfig, Checkpointer, setup_checkpointing,
+)
 from repro.config import PlatformConfig
 from repro.core.options import CompilerOptions
 from repro.core.prefetch_pass import insert_prefetches
 from repro.faults.plan import default_plan
 from repro.interp.executor import Executor
 from repro.machine.machine import Machine
+from repro.obs import Observer
 from repro.vm.residency import PageFlagVector
 
 # The golden-trace footprint: small enough that all sixteen configs run
@@ -159,6 +168,87 @@ def test_fused_nests_equal_per_unit_replay(app_name, variant):
     assert fused_ex.units == unit_ex.units
     assert fused_ex.out_of_range_hints == unit_ex.out_of_range_hints
     assert fused_chunks <= unit_chunks
+
+
+#: Observed runs: (observer capacity, scalar chunk loop, checkpointed).
+OBSERVED_MODES = {
+    "metrics-vector": (None, False, False),
+    "metrics-scalar": (None, True, False),
+    "ringed": (65536, False, False),
+    "metrics-checkpointed": (None, False, True),
+}
+
+
+def _run_observed(app_name: str, prefetching: bool, mode: str, tmp_path):
+    """One fresh observed run; returns everything it makes observable."""
+    capacity, scalar, checkpointed = OBSERVED_MODES[mode]
+    platform = PlatformConfig(memory_pages=MEMORY_PAGES)
+    program = get_app(app_name).make(DATA_PAGES, seed=1)
+    if prefetching:
+        program = insert_prefetches(
+            program, CompilerOptions.from_platform(platform)
+        ).program
+    observer = Observer(capacity=capacity)
+    machine = Machine(platform, prefetching=prefetching, observer=observer,
+                      scalar_chunks=scalar)
+    executor = Executor(machine)
+    checkpointer = None
+    if checkpointed:
+        checkpointer = setup_checkpointing(machine, executor, CheckpointConfig(
+            every_us=100_000.0, directory=tmp_path / mode, label="job"))
+    vector_calls = []
+    kernel = machine._run_chunk_vector
+
+    def counting(kinds, *args):
+        vector_calls.append(len(kinds))
+        kernel(kinds, *args)
+
+    machine._run_chunk_vector = counting
+    stats = executor.run(program)
+    stats.publish(observer.metrics)
+    registry = observer.metrics.as_dict()
+    if checkpointer is not None:
+        # The checkpointer's own ckpt.* series are the only addition.
+        assert checkpointer.writes > 0
+        registry = {name: value for name, value in registry.items()
+                    if not name.startswith("ckpt.")}
+    return {
+        "stats": stats,
+        "pages": _page_table(machine),
+        "registry": registry,
+    }, vector_calls
+
+
+@pytest.mark.parametrize("variant", ["O", "P"])
+@pytest.mark.parametrize("app_name", APP_NAMES)
+def test_metrics_only_observer_rides_vector_kernel(app_name, variant,
+                                                   tmp_path):
+    prefetching = variant == "P"
+    runs = {mode: _run_observed(app_name, prefetching, mode, tmp_path)
+            for mode in OBSERVED_MODES}
+    reference, _ = runs["metrics-scalar"]
+    for mode, (run, _) in runs.items():
+        # RunStats, page table and the whole registry (obs.* histogram
+        # buckets included) must match bit for bit.
+        assert run == reference, mode
+    assert runs["metrics-scalar"][1] == runs["ringed"][1] == []
+
+
+def test_metrics_only_observer_reaches_vector_kernel(tmp_path, monkeypatch):
+    """Every chunk at or over the scalar cutoff reaches the kernel, so
+    the observer gate cannot silently fall back to the scalar loop."""
+    chunk_sizes = []
+    replay = Machine.run_chunk
+
+    def counting(self, kinds, *args):
+        chunk_sizes.append(len(kinds))
+        replay(self, kinds, *args)
+
+    monkeypatch.setattr(Machine, "run_chunk", counting)
+    _, vector_calls = _run_observed("BUK", True, "metrics-vector", tmp_path)
+    large = [n for n in chunk_sizes if n >= Machine._SCALAR_CUTOFF]
+    assert large
+    assert vector_calls == large
 
 
 def test_scalar_env_hatch_forces_scalar_loop(monkeypatch):
